@@ -1,10 +1,16 @@
 """q-integers, q-factorials, and Gaussian binomial coefficients.
 
-The Gaussian binomial ``[N choose K]_q`` is computed three independent ways:
-as an exact quotient of q-factorials, by the q-Pascal recurrence, and by a
-dynamic program over partitions in a box.  The box form ``[n+k choose k]_q``
-(coefficient i counts partitions of i with at most n parts, each at most k)
-is the object whose coefficient sequence the rest of the package studies.
+The box form ``[n+k choose k]_q`` (coefficient i counts partitions of i with
+at most n parts, each at most k) is the object whose coefficient sequence the
+rest of the package studies.  Its one production engine is the product
+formula
+
+    [n+k choose k]_q = prod_{i=1..k} (1 - q^(n+i)) / (1 - q^i)
+
+evaluated over a plain ``int`` list (Andrews, *The Theory of Partitions*,
+ch. 3).  Three independent constructions are kept as test oracles: the exact
+quotient of q-factorials, the q-Pascal recurrence, and a dynamic program
+over partitions in a box.
 """
 from __future__ import annotations
 
@@ -33,41 +39,50 @@ def q_factorial(n: int) -> Polynomial:
 
 
 def q_binomial(n: int, k: int) -> Polynomial:
-    """[n choose k]_q as the exact quotient [n]!_q / ([n-k]!_q [k]!_q).
-
-    The quotient always divides exactly; a NonzeroRemainder here means a bug.
-    """
+    """[n choose k]_q, computed as the box [(n-k)+k choose k]_q."""
     if k < 0 or n < 0 or k > n:
         raise InvalidArguments(f"q_binomial needs 0 <= k <= n, got n={n} k={k}")
-    return q_factorial(n).exact_div(q_factorial(n - k) * q_factorial(k))
+    return q_binomial_box(n - k, k)
 
 
 def q_binomial_box(n: int, k: int) -> Polynomial:
-    """[n+k choose k]_q: the generating function of partitions in an n-by-k box."""
+    """[n+k choose k]_q: the generating function of partitions in an n-by-k box.
+
+    Runs the product formula as power series truncated at degree n*k, which
+    is exact because the result is a polynomial of that degree: multiplying
+    by (1 - q^e) is one descending subtraction pass and dividing by
+    (1 - q^i) one ascending prefix sum with stride i.  Since
+    [n+k choose k]_q = [n+k choose n]_q, it takes min(n, k) factors.
+    """
     if n < 0 or k < 0:
         raise InvalidArguments(f"q_binomial_box needs n, k >= 0, got n={n} k={k}")
-    return q_binomial(n + k, k)
-
-
-# Row N holds [N choose j]_q for j = 0..N.  Grown on demand; rows are only
-# appended, never mutated, so concurrent readers stay deterministic.
-_PASCAL_ROWS: list[list[Polynomial]] = [[Polynomial.one()]]
+    if n < k:
+        n, k = k, n
+    top = n * k
+    c = [1] + [0] * top
+    for i in range(1, k + 1):
+        e = n + i
+        for j in range(top, e - 1, -1):
+            c[j] -= c[j - e]
+        for j in range(i, top + 1):
+            c[j] += c[j - i]
+    return Polynomial(c)
 
 
 def q_binomial_pascal(n: int, k: int) -> Polynomial:
     """[n choose k]_q via the q-Pascal recurrence
     [N choose K]_q = [N-1 choose K-1]_q + q^K [N-1 choose K]_q,
-    built bottom-up row by row with the rows memoized."""
+    built bottom-up row by row; row N keeps only columns 0..min(N, k)."""
     if k < 0 or n < 0 or k > n:
         raise InvalidArguments(f"q_binomial_pascal needs 0 <= k <= n, got n={n} k={k}")
-    while len(_PASCAL_ROWS) <= n:
-        prev = _PASCAL_ROWS[-1]
-        row = [Polynomial.one()]
-        for j in range(1, len(prev)):
-            row.append(prev[j - 1] + prev[j] * Polynomial.monomial(j))
-        row.append(Polynomial.one())
-        _PASCAL_ROWS.append(row)
-    return _PASCAL_ROWS[n][k]
+    row = [Polynomial.one()]
+    for m in range(1, n + 1):
+        nxt = [Polynomial.one()]
+        for j in range(1, min(m, k) + 1):
+            shifted = Polynomial((0,) * j + row[j].coeffs) if j < m else Polynomial.zero()
+            nxt.append(row[j - 1] + shifted)
+        row = nxt
+    return row[k]
 
 
 def q_binomial_partition_dp(n: int, k: int) -> Polynomial:

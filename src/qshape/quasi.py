@@ -28,7 +28,7 @@ from .errors import (
     ValidationFailure,
 )
 from .exactnum import Polynomial, Scalar, solve_linear_rational
-from .qcore import q_binomial, q_binomial_partition_dp
+from .qcore import q_binomial, q_binomial_box
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
         )
     base = initial_quasipolynomial(k)
     period = base.period
-    true_coeffs = q_binomial_partition_dp(n, k).coeffs
+    true_coeffs = q_binomial_box(n, k).coeffs
     top = n * k
 
     regions = []

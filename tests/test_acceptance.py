@@ -16,6 +16,7 @@ from qshape.qcore import (
     q_binomial_box,
     q_binomial_partition_dp,
     q_binomial_pascal,
+    q_factorial,
 )
 from qshape.quasi import (
     SignedTerm,
@@ -42,13 +43,14 @@ def criterion(number, title):
 
 
 def test_criterion_01_oracle_equivalence():
-    with criterion(1, "three q-binomial algorithms agree for k<=8, n<=30; q=1 gives C(n+k,k)"):
+    with criterion(1, "product engine equals quotient, Pascal and partition DP for k<=8, n<=30; q=1 gives C(n+k,k)"):
         for k in range(0, 9):
             for n in range(0, 31):
-                quotient = q_binomial_box(n, k)
-                assert quotient == q_binomial_pascal(n + k, k)
-                assert quotient == q_binomial_partition_dp(n, k)
-                assert quotient.evaluate(1) == math.comb(n + k, k)
+                engine = q_binomial_box(n, k)
+                assert engine == q_factorial(n + k).exact_div(q_factorial(n) * q_factorial(k))
+                assert engine == q_binomial_pascal(n + k, k)
+                assert engine == q_binomial_partition_dp(n, k)
+                assert engine.evaluate(1) == math.comb(n + k, k)
 
 
 def test_criterion_02_paper_table_reproduction():

@@ -52,6 +52,13 @@ class TestQbinom:
         assert doc["degree"] == 4
         assert doc["coefficients"] == [1, 1, 2, 1, 1]
 
+    def test_large_n_json(self, capsys):
+        code, out = run(capsys, "qbinom", "--n", "1200", "--k", "2", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["degree"] == 2400
+        assert sum(doc["coefficients"]) == math.comb(1202, 2)
+
 
 class TestRegions:
     def test_k4_report_mentions_table_row(self, capsys):
@@ -127,6 +134,13 @@ class TestConverge:
         code = main(["converge", "--k", "3", "--n-list", ""])
         capsys.readouterr()
         assert code == 2
+
+    def test_large_n(self, capsys):
+        code, out = run(capsys, "converge", "--k", "4", "--n-list", "1000")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,ks"
+        assert len(lines) == 2 and lines[1].startswith("1000,")
 
 
 class TestPlot:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from itertools import combinations
 
 import pytest
@@ -14,6 +16,11 @@ from qshape.qcore import (
     q_factorial,
     q_integer,
 )
+
+
+def quotient_oracle(n, k):
+    """[n choose k]_q as the exact quotient [n]!_q / ([n-k]!_q [k]!_q)."""
+    return q_factorial(n).exact_div(q_factorial(n - k) * q_factorial(k))
 
 
 def count_partitions_in_box(size, max_parts, max_part):
@@ -114,7 +121,7 @@ class TestPascal:
         assert q_binomial_pascal(2, 1) == Polynomial((1, 1))
 
     def test_agrees_with_quotient_form(self):
-        assert q_binomial_pascal(4, 2) == q_binomial(4, 2)
+        assert q_binomial_pascal(4, 2) == quotient_oracle(4, 2)
 
 
 class TestPartitionDP:
@@ -140,11 +147,103 @@ class TestPartitionDP:
 
 class TestThreeWayAgreement:
     def test_sampled_agreement(self):
+        # the product engine against all three oracles
         for n in range(0, 13):
             for k in range(0, 6):
                 a = q_binomial_box(n, k)
+                assert a == quotient_oracle(n + k, k)
                 assert a == q_binomial_pascal(n + k, k)
                 assert a == q_binomial_partition_dp(n, k)
+
+
+class TestThreads:
+    def test_concurrent_calls_match_serial(self):
+        # Sizes beyond those other tests use, so a shared cache would have
+        # to grow while the threads race on it.
+        calls = (
+            [(q_binomial_pascal, (44 + t, 5)) for t in range(8)]
+            + [(q_binomial_box, (40 + t, 6)) for t in range(8)]
+            + [(q_factorial, (60 + t,)) for t in range(8)]
+        )
+        # Pascal is checked against the engine: a corrupted Pascal cache
+        # would also corrupt a serial Pascal result taken afterwards.
+        serial = {
+            (fn, args): q_binomial_box(args[0] - args[1], args[1])
+            if fn is q_binomial_pascal else fn(*args)
+            for fn, args in calls
+        }
+        results = [[] for _ in range(8)]
+
+        def worker(slot):
+            for fn, args in calls[slot:] + calls[:slot]:
+                results[slot].append(((fn, args), fn(*args)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for slot in results:
+            assert len(slot) == len(calls)
+            for key, value in slot:
+                assert value == serial[key]
+
+
+P61 = 2**61 - 1
+
+
+def fingerprint(p, r):
+    """p(r) mod 2^61 - 1 by Horner's rule."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = (acc * r + c) % P61
+    return acc
+
+
+def product_fingerprint(n, k, r):
+    """prod_{i=1..k} (1 - r^(n+i)) / (1 - r^i) mod 2^61 - 1."""
+    acc = 1
+    for i in range(1, k + 1):
+        den = (1 - pow(r, i, P61)) % P61
+        assert den, "r must not be a root of 1 - q^i"
+        acc = acc * (1 - pow(r, n + i, P61)) * pow(den, -1, P61) % P61
+    return acc
+
+
+class TestLargeCertificates:
+    """O(nk) certificates for sizes far beyond the oracles' reach."""
+
+    SIZES = [(10000, 8), (4999, 7), (8, 10000), (5000, 3), (1200, 2), (10000, 1), (0, 10000)]
+
+    @pytest.fixture(scope="class")
+    def polys(self):
+        return {(n, k): q_binomial_box(n, k) for n, k in self.SIZES}
+
+    def test_q1_is_binomial(self, polys):
+        for (n, k), p in polys.items():
+            assert p.degree == n * k
+            assert sum(p.coeffs) == math.comb(n + k, k)
+
+    def test_q_minus_1_closed_form(self, polys):
+        for (n, k), p in polys.items():
+            big_n = n + k
+            expected = 0 if big_n % 2 == 0 and k % 2 == 1 else math.comb(big_n // 2, k // 2)
+            assert p.evaluate(-1) == expected
+
+    def test_symmetric(self, polys):
+        for p in polys.values():
+            assert p.coeffs == p.coeffs[::-1]
+
+    def test_modular_fingerprint(self, polys):
+        for (n, k), p in polys.items():
+            for r in (3, 1234567891011, 2**40 + 15):
+                assert fingerprint(p, r) == product_fingerprint(n, k, r)
 
 
 class TestEvaluate:
