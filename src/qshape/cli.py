@@ -16,11 +16,7 @@ from . import __version__
 from .errors import InvalidArguments
 from .measure import convergence_table
 from .qcore import q_binomial_box
-from .quasi import (
-    coefficient_via_recursion,
-    demo_quasipolynomial,
-    region_decomposition,
-)
+from .quasi import demo_quasipolynomial, region_decomposition
 from .shape import limit_shape
 from .svgplot import PlotSpec, region_fills, render_svg
 
@@ -128,10 +124,9 @@ def cmd_qbinom(args) -> int:
 def cmd_regions(args) -> int:
     decomp = region_decomposition(args.n, args.k)
     out = sys.stdout
+    coeffs = q_binomial_box(args.n, args.k).coeffs
     zone_values = {
-        zone: [coefficient_via_recursion(args.n, args.k, m)
-               for m in range(zone[0], zone[1] + 1)]
-        for zone in decomp.transition_zones
+        zone: list(coeffs[zone[0]:zone[1] + 1]) for zone in decomp.transition_zones
     }
     if args.format == "coeffs":
         for region in decomp.regions:

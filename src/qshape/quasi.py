@@ -9,8 +9,10 @@ flows from one identity: expanding the numerator of
 by the q-binomial theorem gives signed terms c * q^(j*n + t), so the
 coefficient of q^m is a signed sum of power-series coefficients of
 1 / ((1-q)...(1-q^k)) at shifted indices.  Those base coefficients count
-partitions into parts at most k and are exactly quasipolynomial, which this
-module recovers by exact interpolation and validates on held-out samples.
+partitions into parts at most k and are exactly quasipolynomial, as is each
+region's partial-numerator series past its last exponent: every formula is
+fitted from its own integer series by forward differences and validated on
+held-out samples.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .errors import (
     NonUnitConstantTerm,
     ValidationFailure,
 )
-from .exactnum import Polynomial, Scalar, solve_linear_rational
+from .exactnum import Polynomial, Scalar
 from .qcore import q_binomial, q_binomial_box
 
 
@@ -49,24 +51,12 @@ class Quasipolynomial:
     def evaluate(self, m: int) -> Scalar:
         return self.polys[m % self.period].evaluate(m)
 
-    def __add__(self, other: Quasipolynomial) -> Quasipolynomial:
-        if self.period != other.period:
-            raise InvalidArguments("periods differ")
-        return Quasipolynomial(self.period, tuple(a + b for a, b in zip(self.polys, other.polys)))
-
-    def scaled(self, c: Scalar) -> Quasipolynomial:
-        return Quasipolynomial(self.period, tuple(p * c for p in self.polys))
-
     def arg_shifted(self, e: int) -> Quasipolynomial:
         """The quasipolynomial m -> self(m - e)."""
         s = self.period
         return Quasipolynomial(
             s, tuple(self.polys[(r - e) % s].taylor_shift(-e) for r in range(s))
         )
-
-    @classmethod
-    def zero(cls, period: int) -> Quasipolynomial:
-        return cls(period, (Polynomial.zero(),) * period)
 
 
 def reciprocal_series(den: Polynomial, count: int) -> list[int]:
@@ -94,35 +84,47 @@ def fit_quasipolynomial(
 ) -> Quasipolynomial:
     """Exact per-residue interpolation of a quasipolynomial from samples.
 
-    values[i] is the sequence value at argument start_index + i.  Each
-    residue class fits on its first degree+1 samples and must agree on at
-    least degree+1 held-out samples, otherwise ValidationFailure.
+    values[i] is the sequence value at argument start_index + i.  A residue
+    class (samples `period` apart) needs 2*(degree+1) samples and is a
+    polynomial of degree <= degree iff its forward differences of order
+    degree+1 vanish, so the first sample off the fit raises ValidationFailure.
+    The leading differences give the Newton form, summed in int.
     """
     if period < 1 or degree < 0:
         raise InvalidArguments("need period >= 1 and degree >= 0")
-    by_residue: list[list[tuple[int, int]]] = [[] for _ in range(period)]
-    for i, v in enumerate(values):
-        m = start_index + i
-        by_residue[m % period].append((m, v))
     need = 2 * (degree + 1)
+    scale = math.factorial(degree) * period**degree
     polys = []
-    for r, samples in enumerate(by_residue):
-        if len(samples) < need:
-            raise InsufficientSamples(
-                f"residue {r}: {len(samples)} samples, need {need}"
+    for r in range(period):
+        m0 = start_index + (r - start_index) % period
+        row = list(values[m0 - start_index :: period])
+        if len(row) < need:
+            raise InsufficientSamples(f"residue {r}: {len(row)} samples, need {need}")
+        acc, basis = [0] * (degree + 1), [1]
+        for j in range(degree + 1):
+            # add row[0] / (j! period^j) * prod_{i<j} (m - m0 - i*period)
+            weight = row[0] * (scale // (math.factorial(j) * period**j))
+            for i, c in enumerate(basis):
+                acc[i] += weight * c
+            basis = [a - (m0 + j * period) * b for a, b in zip([0] + basis, basis + [0])]
+            row = [b - a for a, b in zip(row, row[1:])]
+        # a nonzero row[i] (order degree+1) means sample i+degree+1 is off the fit
+        bad = next((i for i, v in enumerate(row) if v), None)
+        if bad is not None:
+            raise ValidationFailure(
+                f"residue {r} fit fails at m={m0 + (bad + degree + 1) * period}: "
+                f"not quasipolynomial with period {period}, degree {degree}"
             )
-        fit, held_out = samples[: degree + 1], samples[degree + 1 :]
-        matrix = [[Fraction(m) ** j for j in range(degree + 1)] for m, _ in fit]
-        coeffs = solve_linear_rational(matrix, [v for _, v in fit])
-        poly = Polynomial(coeffs)
-        for m, v in held_out:
-            if poly.evaluate(m) != v:
-                raise ValidationFailure(
-                    f"residue {r} fit fails at m={m}: not quasipolynomial "
-                    f"with period {period}, degree {degree}"
-                )
-        polys.append(poly)
+        polys.append(Polynomial(Fraction(c, scale) for c in acc))
     return Quasipolynomial(period, tuple(polys))
+
+
+def _parts_denominator(k: int) -> Polynomial:
+    """(1-q)...(1-q^k), whose reciprocal counts partitions into parts <= k."""
+    den = Polynomial.one()
+    for i in range(1, k + 1):
+        den = den * (Polynomial.one() - Polynomial.monomial(i))
+    return den
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,12 +137,9 @@ def initial_quasipolynomial(k: int) -> Quasipolynomial:
     """
     if k < 1:
         raise InvalidArguments("needs k >= 1")
-    den = Polynomial.one()
-    for i in range(1, k + 1):
-        den = den * (Polynomial.one() - Polynomial.monomial(i))
     period = math.lcm(*range(1, k + 1))
-    count = 2 * k * period
-    return fit_quasipolynomial(reciprocal_series(den, count), 0, period, k - 1)
+    series = reciprocal_series(_parts_denominator(k), 2 * k * period)
+    return fit_quasipolynomial(series, 0, period, k - 1)
 
 
 @dataclass(frozen=True)
@@ -234,10 +233,11 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
     """Decompose the coefficients of [n+k choose k]_q into k quasipolynomial
     regions plus the transition zones between them.
 
-    Region r's formula accumulates the numerator terms of blocks <= r; its
-    right endpoint sits just below the smallest block-(r+1) exponent and its
-    left endpoint is where the last block-r term starts applying in full.
-    The zone widths between regions depend on k only, not on n.
+    Region r's formula is fitted to its partial-numerator series, the signed
+    sum of base series values over the numerator terms of blocks <= r, from
+    its left endpoint on: the largest of those exponents, where the last
+    block-r term starts applying in full.  Its right endpoint sits just below
+    the smallest block-(r+1) exponent.  The zone widths depend on k only.
     """
     if k < 1:
         raise InvalidArguments("needs k >= 1")
@@ -245,22 +245,25 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
         raise InvalidArguments(
             f"n={n} too small for k={k}: need n >= {min_region_n(k)}"
         )
-    base = initial_quasipolynomial(k)
-    period = base.period
-    true_coeffs = q_binomial_box(n, k).coeffs
+    period = math.lcm(*range(1, k + 1))
+    window = 2 * k * period
     top = n * k
+    # n >= min_region_n(k) keeps every fit start (left) at or below top
+    series = reciprocal_series(_parts_denominator(k), top + window)
+    true_coeffs = q_binomial_box(n, k).coeffs
 
     regions = []
-    formula = Quasipolynomial.zero(period)
     terms = numerator_expansion(k)
     for r in range(k):
-        for term in terms:
-            if term.block == r:
-                formula = formula + base.arg_shifted(term.exponent(n)).scaled(
-                    term.sign * term.multiplicity
-                )
+        active = [(t.sign * t.multiplicity, t.exponent(n)) for t in terms if t.block <= r]
+        # left is the largest active exponent, so no slice start left - e is
+        # negative (that would silently read from the end of the series)
+        left = max(e for _, e in active)
+        values = [0] * window
+        for c, e in active:
+            values = [v + c * s for v, s in zip(values, series[left - e :])]
+        formula = fit_quasipolynomial(values, left, period, k - 1)
         right = top if r == k - 1 else (r + 1) * n + (r + 1) * (r + 2) // 2 - 1
-        left = 0 if r == 0 else r * n + r * (r + 1) // 2 + r * (k - r)
         m = right
         while m >= 0 and formula.evaluate(m) == true_coeffs[m]:
             m -= 1

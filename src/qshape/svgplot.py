@@ -8,10 +8,10 @@ polynomials of different degrees comparable.
 """
 from __future__ import annotations
 
+import html
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-from xml.sax.saxutils import escape
 
 from .exactnum import Scalar
 
@@ -69,7 +69,7 @@ def render_svg(spec: PlotSpec) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width // 2}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(spec.title)}</text>',
+        f'font-family="sans-serif" font-size="14">{html.escape(spec.title, quote=False)}</text>',
     ]
     for i, raw in enumerate(bars):
         h = Fraction(raw) * scale

@@ -1,8 +1,13 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
+import qshape
 from qshape.cli import main
+from qshape.svgplot import PlotSpec, render_svg
 
 
 def run(capsys, *argv):
@@ -143,7 +148,31 @@ class TestConverge:
         assert len(lines) == 2 and lines[1].startswith("1000,")
 
 
+class TestStartup:
+    def test_import_skips_network_modules(self):
+        # every command pays for what `import qshape.cli` pulls in
+        src = os.path.dirname(os.path.dirname(qshape.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys, qshape.cli; "
+            "print(sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert result.stdout == "[]\n"
+
+
 class TestPlot:
+    def test_title_escaping(self):
+        spec = PlotSpec(bar_heights=(1,), width_px=10, height_px=10, title='a & b <c> "d"')
+        assert (
+            '<text x="15" y="20" text-anchor="middle" font-family="sans-serif" '
+            'font-size="14">a &amp; b &lt;c&gt; "d"</text>'
+        ) in render_svg(spec).splitlines()
+
     def test_plain_bars(self, tmp_path, capsys):
         out_file = tmp_path / "p.svg"
         assert main(["plot", "--n", "2", "--k", "2", "--out", str(out_file)]) == 0

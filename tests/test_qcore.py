@@ -16,6 +16,8 @@ from qshape.qcore import (
     q_factorial,
     q_integer,
 )
+from qshape.quasi import initial_quasipolynomial, numerator_expansion
+from qshape.shape import limit_shape
 
 
 def quotient_oracle(n, k):
@@ -156,6 +158,30 @@ class TestThreeWayAgreement:
                 assert a == q_binomial_partition_dp(n, k)
 
 
+def hammer(calls, threads=8):
+    """Run every (fn, args) call from `threads` threads at once, each
+    starting at a different offset, with a tiny switch interval; returns
+    each thread's ((fn, args), result) pairs."""
+    results = [[] for _ in range(threads)]
+
+    def worker(slot):
+        for fn, args in calls[slot:] + calls[:slot]:
+            results[slot].append(((fn, args), fn(*args)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+    return results
+
+
 class TestThreads:
     def test_concurrent_calls_match_serial(self):
         # Sizes beyond those other tests use, so a shared cache would have
@@ -172,24 +198,19 @@ class TestThreads:
             if fn is q_binomial_pascal else fn(*args)
             for fn, args in calls
         }
-        results = [[] for _ in range(8)]
+        for slot in hammer(calls):
+            assert len(slot) == len(calls)
+            for key, value in slot:
+                assert value == serial[key]
 
-        def worker(slot):
-            for fn, args in calls[slot:] + calls[:slot]:
-                results[slot].append(((fn, args), fn(*args)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        for slot in results:
+    def test_cached_paths_match_serial(self):
+        cached = (initial_quasipolynomial, numerator_expansion, limit_shape)
+        calls = [(fn, (k,)) for k in range(1, 7) for fn in cached]
+        serial = {(fn, args): fn(*args) for fn, args in calls}
+        # empty caches, so the threads race to fill them
+        for fn in cached:
+            fn.cache_clear()
+        for slot in hammer(calls):
             assert len(slot) == len(calls)
             for key, value in slot:
                 assert value == serial[key]

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qshape.errors import (
     IndexOutOfRange,
@@ -10,7 +12,7 @@ from qshape.errors import (
     NonUnitConstantTerm,
     ValidationFailure,
 )
-from qshape.exactnum import Polynomial
+from qshape.exactnum import Polynomial, solve_linear_rational
 from qshape.qcore import q_binomial_box
 from qshape.quasi import (
     SignedTerm,
@@ -78,15 +80,52 @@ class TestFit:
             fit_quasipolynomial([1, 2, 3], 0, 1, 2)
 
     def test_validation_failure(self):
-        # 2^m is not a polynomial of degree 3
-        with pytest.raises(ValidationFailure):
+        # 2^m is not a polynomial of degree 3; the cubic through m = 0..3
+        # first misses at m = 4
+        with pytest.raises(ValidationFailure, match=r"at m=4:"):
             fit_quasipolynomial([2 ** m for m in range(10)], 0, 1, 3)
+
+    def test_validation_failure_names_first_outlier(self):
+        values = [m * m for m in range(14)]
+        values[9] += 1
+        with pytest.raises(ValidationFailure, match=r"residue 0 fit fails at m=9:"):
+            fit_quasipolynomial(values, 0, 1, 2)
+        # the same outlier in residue 1 of a period-2 fit
+        with pytest.raises(ValidationFailure, match=r"residue 1 fit fails at m=9:"):
+            fit_quasipolynomial(values, 0, 2, 2)
 
     def test_alternating_period_two(self):
         values = [m if m % 2 else 3 * m for m in range(12)]
         q = fit_quasipolynomial(values, 0, 2, 1)
         assert q.polys[0] == Polynomial((0, 3))
         assert q.polys[1] == Polynomial((0, 1))
+
+
+def vandermonde_fit(values, period, degree):
+    """Oracle fit: per residue, one rational Gaussian elimination on the
+    Vandermonde system of its first degree+1 samples (from m = 0)."""
+    polys = []
+    for r in range(period):
+        ms = range(r, r + (degree + 1) * period, period)
+        matrix = [[Fraction(m) ** j for j in range(degree + 1)] for m in ms]
+        polys.append(Polynomial(solve_linear_rational(matrix, [values[m] for m in ms])))
+    return tuple(polys)
+
+
+def shift_and_add_formulas(n, k):
+    """Oracle region formulas: region r sums c * base(m - e) over the
+    numerator terms c * q^e of blocks <= r, one Taylor shift per term."""
+    base = initial_quasipolynomial(k)
+    sums = [Polynomial.zero()] * base.period
+    formulas = []
+    for r in range(k):
+        for t in numerator_expansion(k):
+            if t.block == r:
+                shifted = base.arg_shifted(t.exponent(n))
+                c = t.sign * t.multiplicity
+                sums = [s + p * c for s, p in zip(sums, shifted.polys)]
+        formulas.append(tuple(sums))
+    return formulas
 
 
 class TestInitialQuasipolynomial:
@@ -111,6 +150,12 @@ class TestInitialQuasipolynomial:
             count = 2 * k * q.period + 50
             series = reciprocal_series(parts_at_most_k_denominator(k), count)
             assert all(q.evaluate(m) == series[m] for m in range(count))
+
+    def test_matches_vandermonde_fit(self):
+        for k in range(1, 7):
+            q = initial_quasipolynomial(k)
+            series = reciprocal_series(parts_at_most_k_denominator(k), 2 * k * q.period)
+            assert q.polys == vandermonde_fit(series, q.period, k - 1)
 
     def test_period_is_lcm(self):
         for k in range(1, 7):
@@ -265,6 +310,26 @@ class TestRegionDecomposition:
             region_decomposition(5, 4)
         assert min_region_n(4) == 24
 
+    def test_formulas_match_shift_and_add(self):
+        for n, k in ((16, 2), (40, 3), (50, 4), (130, 5), (130, 6)):
+            regions = region_decomposition(n, k).regions
+            expected = shift_and_add_formulas(n, k)
+            assert [region.formula.polys for region in regions] == expected
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(st.data())
+    def test_formulas_match_coefficients_property(self, data):
+        k = data.draw(st.integers(1, 5), label="k")
+        n = data.draw(st.integers(min_region_n(k), 3 * min_region_n(k)), label="n")
+        true = q_binomial_box(n, k).coeffs
+        for region in region_decomposition(n, k).regions:
+            f = region.formula
+            for m in range(region.left, region.right + 1):
+                assert f.evaluate(m) == true[m]
+            assert f.evaluate(region.valid_from) == true[region.valid_from]
+            if region.valid_from > 0:
+                assert f.evaluate(region.valid_from - 1) != true[region.valid_from - 1]
+
     def test_constant_top_coefficients_across_residues(self):
         # coefficients of degree above floor(k/2) - 1 agree on all residues
         for n, k in ((16, 2), (40, 3), (50, 4)):
@@ -284,16 +349,6 @@ class TestQuasipolynomialType:
         shifted = q.arg_shifted(7)
         for m in range(7, 40):
             assert shifted.evaluate(m) == q.evaluate(m - 7)
-
-    def test_add_and_scale(self):
-        q = initial_quasipolynomial(2)
-        doubled = q + q
-        assert all(doubled.evaluate(m) == 2 * q.evaluate(m) for m in range(10))
-        assert all(q.scaled(-3).evaluate(m) == -3 * q.evaluate(m) for m in range(10))
-
-    def test_period_mismatch(self):
-        with pytest.raises(InvalidArguments):
-            initial_quasipolynomial(2) + initial_quasipolynomial(3)
 
     def test_demo_branches(self):
         f = demo_quasipolynomial()
