@@ -233,9 +233,10 @@ def cmd_plot(args) -> int:
             bars = len(poly.coeffs)
             # curve in bar-value units: L(x) * total / bars  (see --help)
             samples = 512
+            points = [Fraction(j, samples) for j in range(samples + 1)]
             overlay = tuple(
-                (Fraction(j, samples), curve.evaluate(Fraction(j, samples)) * total / bars)
-                for j in range(samples + 1)
+                (u, Fraction(y.numerator * total, y.denominator * bars))
+                for u, y in zip(points, map(curve.evaluate, points))
             )
         spec = PlotSpec(
             bar_heights=poly.coeffs,

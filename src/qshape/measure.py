@@ -8,6 +8,7 @@ continuous CDF is attained) and only then rounded to a float.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -20,10 +21,21 @@ from .shape import PiecewisePolynomial, limit_shape
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Point masses (location, mass); masses are exact and sum to 1."""
+    """Masses coeffs[i] / total at i / source_degree (one unit mass at 0 when
+    source_degree is 0); coeffs are coprime, so equal measures compare equal."""
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
-    source_degree: int
+    coeffs: tuple[int, ...]
+    total: int
+
+    @property
+    def source_degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(location, mass) pairs, exact; the masses sum to 1."""
+        d = self.source_degree or 1
+        return tuple((Fraction(i, d), Fraction(c, self.total)) for i, c in enumerate(self.coeffs))
 
 
 def measure_from_polynomial(p: Polynomial) -> EmpiricalMeasure:
@@ -35,14 +47,10 @@ def measure_from_polynomial(p: Polynomial) -> EmpiricalMeasure:
         raise ZeroPolynomial("cannot normalize the zero polynomial")
     if any(c < 0 for c in p.coeffs):
         raise NegativeCoefficient("measure needs non-negative coefficients")
-    d = p.degree
-    if d == 0:
-        return EmpiricalMeasure(((Fraction(0), Fraction(1)),), 0)
-    total = p.evaluate(1)
-    atoms = tuple(
-        (Fraction(i, d), Fraction(c, total)) for i, c in enumerate(p.coeffs)
-    )
-    return EmpiricalMeasure(atoms, d)
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    coeffs = [c.numerator * scale // c.denominator for c in p.coeffs]
+    g = math.gcd(*coeffs)
+    return EmpiricalMeasure(tuple(c // g for c in coeffs), sum(coeffs) // g)
 
 
 def ks_distance(em: EmpiricalMeasure, shape: PiecewisePolynomial) -> float:
@@ -50,21 +58,18 @@ def ks_distance(em: EmpiricalMeasure, shape: PiecewisePolynomial) -> float:
 
     The shape CDF is continuous and the empirical CDF is a right-continuous
     step function, so the supremum of their difference is attained at an
-    atom, approached either at the atom or from its left.  Both candidates
-    are compared exactly; only the final maximum becomes a float.
+    atom, approached either at the atom or from its left.  One sweep compares
+    both candidates exactly, as integer numerators over the common
+    denominator total * den; only the final maximum becomes a float.
     """
-    best = Fraction(0)
-    cumulative = Fraction(0)
-    for x, mass in em.atoms:
-        target = shape.cdf(x)
+    targets, den = shape._cdf_grid(em.source_degree)
+    best = cumulative = 0
+    for c, target in zip(em.coeffs, targets):
+        target *= em.total
         below = abs(cumulative - target)
-        cumulative += mass
-        at = abs(cumulative - target)
-        if below > best:
-            best = below
-        if at > best:
-            best = at
-    return float(best)
+        cumulative += c * den
+        best = max(best, below, abs(cumulative - target))
+    return float(Fraction(best, em.total * den))
 
 
 @dataclass(frozen=True)

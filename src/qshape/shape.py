@@ -16,41 +16,75 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidArguments, OutOfDomain
 from .exactnum import Polynomial, Scalar
 
 
+def _integer_rows(polys) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Coefficient rows of one length, as integers over one common denominator."""
+    width = max([len(p.coeffs) for p in polys] + [1])
+    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    padded = (p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys)
+    return tuple(tuple(c.numerator * den // c.denominator for c in row) for row in padded), den
+
+
 @dataclass(frozen=True)
 class PiecewisePolynomial:
-    """Continuous piecewise polynomial on [0,1]; piece i governs [i/k, (i+1)/k]."""
+    """Continuous piecewise polynomial on [0,1]; piece i governs [i/k, (i+1)/k].
+
+    Construction precomputes integer rows over one denominator for the
+    pieces and for the CDF (each piece's antiderivative plus the prefix sum
+    of the earlier pieces' integrals); evaluation is integer arithmetic.
+    """
 
     k: int
     pieces: tuple[Polynomial, ...]
+    _density: tuple = field(init=False, repr=False, compare=False)
+    _cdf: tuple = field(init=False, repr=False, compare=False)
 
-    def _piece_index(self, x: Fraction) -> int:
-        if x < 0 or x > 1:
-            raise OutOfDomain(f"x={x} outside [0, 1]")
-        return min(int(x * self.k), self.k - 1)
+    def __post_init__(self):
+        cdf_pieces, below = [], Fraction(0)
+        for i, piece in enumerate(self.pieces):
+            anti = piece.antiderivative()
+            left = anti.evaluate(Fraction(i, self.k))
+            cdf_pieces.append(anti + (below - left))
+            below += anti.evaluate(Fraction(i + 1, self.k)) - left
+        object.__setattr__(self, "_density", _integer_rows(self.pieces))
+        object.__setattr__(self, "_cdf", _integer_rows(cdf_pieces))
+
+    def _numerator(self, rows, a: int, b: int) -> int:
+        """b^deg times the governing row at a/b (0 <= a <= b), by homogeneous
+        Horner: sum of c_m a^m b^(deg-m)."""
+        acc, power = 0, 1
+        for c in reversed(rows[min(self.k * a // b, self.k - 1)]):
+            acc = acc * a + c * power
+            power *= b
+        return acc
+
+    def _at(self, table, x: Scalar) -> Fraction:
+        rows, den = table
+        a, b = x.as_integer_ratio()
+        if a < 0 or a > b:
+            raise OutOfDomain(f"x={Fraction(a, b)} outside [0, 1]")
+        return Fraction(self._numerator(rows, a, b), den * b ** (len(rows[0]) - 1))
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact value at x; at a breakpoint both pieces agree."""
-        x = Fraction(x)
-        return Fraction(self.pieces[self._piece_index(x)].evaluate(x))
+        return self._at(self._density, x)
 
     def cdf(self, x: Scalar) -> Fraction:
         """Exact integral from 0 to x."""
-        x = Fraction(x)
-        i = self._piece_index(x)
-        total = Fraction(0)
-        for j in range(i):
-            anti = self.pieces[j].antiderivative()
-            total += anti.evaluate(Fraction(j + 1, self.k)) - anti.evaluate(Fraction(j, self.k))
-        anti = self.pieces[i].antiderivative()
-        total += anti.evaluate(x) - anti.evaluate(Fraction(i, self.k))
-        return total
+        return self._at(self._cdf, x)
+
+    def _cdf_grid(self, d: int) -> tuple[list[int], int]:
+        """The CDF at j/d for j = 0..d (at 0 alone when d = 0), as integer
+        numerators over one common denominator."""
+        (rows, den), b = self._cdf, max(d, 1)
+        values = [self._numerator(rows, j, b) for j in range(d + 1)]
+        return values, den * b ** (len(rows[0]) - 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,13 +93,10 @@ def limit_shape(k: int) -> PiecewisePolynomial:
     if k < 1:
         raise InvalidArguments("needs k >= 1")
     scale = Fraction(k, math.factorial(k - 1))
-    pieces = []
-    for i in range(k):
-        piece = Polynomial.zero()
-        for j in range(i + 1):
-            # (k*x - j)^(k-1), expanded over the integers
-            term = Polynomial((-j, k)) ** (k - 1)
-            piece = piece + term * ((-1) ** j * math.comb(k, j))
+    pieces, piece = [], Polynomial.zero()
+    for j in range(k):
+        # piece j adds (-1)^j C(k,j) (k*x - j)^(k-1), expanded over the integers
+        piece = piece + Polynomial((-j, k)) ** (k - 1) * ((-1) ** j * math.comb(k, j))
         pieces.append(piece * scale)
     return PiecewisePolynomial(k, tuple(pieces))
 

@@ -80,10 +80,14 @@ def render_svg(spec: PlotSpec) -> str:
             f'width="{_fmt(bar_w)}" height="{_fmt(h)}" fill="{fill}"/>'
         )
     if spec.overlay:
+        # the exact coordinates as integer ratios: int true division rounds
+        # correctly, so each float is the float of the exact rational
+        sn, sd = scale.as_integer_ratio()
+        ratios = ((u.as_integer_ratio(), v.as_integer_ratio()) for u, v in spec.overlay)
         points = " ".join(
-            f"{_fmt(_MARGIN + Fraction(u) * spec.width_px)},"
-            f"{_fmt(base_y - Fraction(v) * scale)}"
-            for u, v in spec.overlay
+            f"{_fmt((_MARGIN * ud + un * spec.width_px) / ud)},"
+            f"{_fmt((base_y * vd * sd - vn * sn) / (vd * sd))}"
+            for (un, ud), (vn, vd) in ratios
         )
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="black" stroke-width="1.5"/>'

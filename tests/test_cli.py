@@ -4,10 +4,16 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qshape
 from qshape.cli import main
-from qshape.svgplot import PlotSpec, render_svg
+from qshape.qcore import q_binomial_box
+from qshape.shape import limit_shape
+from qshape.svgplot import PlotSpec, _fmt, render_svg
 
 
 def run(capsys, *argv):
@@ -18,6 +24,20 @@ def run(capsys, *argv):
 
 def bar_fills(svg_text):
     return re.findall(r'<rect class="bar"[^>]*fill="([^"]+)"', svg_text)
+
+
+def polyline(svg_text):
+    return re.search(r'<polyline points="([^"]*)"', svg_text).group(1)
+
+
+def polyline_oracle(spec):
+    """The overlay points by Fraction arithmetic: margin 10, title band 30."""
+    scale = Fraction(spec.height_px) / Fraction(max(spec.bar_heights))
+    base_y = 30 + spec.height_px
+    return " ".join(
+        f"{_fmt(10 + Fraction(u) * spec.width_px)},{_fmt(base_y - Fraction(v) * scale)}"
+        for u, v in spec.overlay
+    )
 
 
 def bar_heights(svg_text):
@@ -147,6 +167,13 @@ class TestConverge:
         assert lines[0] == "n,ks"
         assert len(lines) == 2 and lines[1].startswith("1000,")
 
+    def test_large_n_k8(self, capsys):
+        code, out = run(capsys, "converge", "--k", "8", "--n-list", "10000")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,ks"
+        assert len(lines) == 2 and lines[1].startswith("10000,")
+
 
 class TestStartup:
     def test_import_skips_network_modules(self):
@@ -214,6 +241,33 @@ class TestPlot:
         out_file = tmp_path / "p.svg"
         main(["plot", "--n", "20", "--k", "3", "--overlay", "--out", str(out_file)])
         assert "<polyline points=" in out_file.read_text()
+
+    def test_overlay_points_exact(self, tmp_path):
+        out_file = tmp_path / "p.svg"
+        main(["plot", "--n", "9", "--k", "7", "--overlay", "--out", str(out_file)])
+        poly, curve = q_binomial_box(9, 7), limit_shape(7)
+        scale = Fraction(sum(poly.coeffs), len(poly.coeffs))
+        overlay = tuple(
+            (Fraction(j, 512), curve.evaluate(Fraction(j, 512)) * scale) for j in range(513)
+        )
+        spec = PlotSpec(poly.coeffs, 800, 300, "", overlay=overlay)
+        assert polyline(out_file.read_text()) == polyline_oracle(spec)
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(
+        st.lists(st.fractions(min_value=0, max_value=10 ** 6), min_size=1, max_size=5)
+        .filter(any),
+        st.lists(
+            st.tuples(st.fractions(min_value=0, max_value=1),
+                      st.fractions(min_value=0, max_value=10 ** 6)),
+            min_size=1, max_size=5,
+        ),
+        st.integers(1, 2000),
+        st.integers(1, 1000),
+    )
+    def test_overlay_render_matches_fraction_oracle(self, bars, overlay, width, height):
+        spec = PlotSpec(tuple(bars), width, height, "", overlay=tuple(overlay))
+        assert polyline(render_svg(spec)) == polyline_oracle(spec)
 
     def test_demo_two_branches(self, tmp_path):
         out_file = tmp_path / "d.svg"

@@ -2,6 +2,8 @@ import bisect
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qshape.errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
 from qshape.exactnum import Polynomial
@@ -12,6 +14,21 @@ from qshape.measure import (
 )
 from qshape.qcore import q_binomial_box
 from qshape.shape import limit_shape
+
+from test_shape import cdf_oracle
+
+
+def ks_atom_oracle(em, shape):
+    """Exact KS distance the direct way: one Fraction CDF per atom and
+    Fraction running sums."""
+    best = Fraction(0)
+    cumulative = Fraction(0)
+    for x, mass in em.atoms:
+        target = cdf_oracle(shape, x)
+        below = abs(cumulative - target)
+        cumulative += mass
+        best = max(best, below, abs(cumulative - target))
+    return float(best)
 
 
 def ks_grid_scan(em, shape, grid=10 ** 4):
@@ -89,6 +106,12 @@ class TestMeasureFromPolynomial:
         flipped = tuple((1 - a, m) for a, m in reversed(em.atoms))
         assert flipped == em.atoms
 
+    def test_proportional_and_rational_coefficients(self):
+        # the measure keeps only the ratios of the coefficients
+        em = measure_from_polynomial(Polynomial((Fraction(1, 2), 1)))
+        assert em.atoms == ((Fraction(0), Fraction(1, 3)), (Fraction(1), Fraction(2, 3)))
+        assert em == measure_from_polynomial(Polynomial((3, 6)))
+
     def test_errors(self):
         with pytest.raises(ZeroPolynomial):
             measure_from_polynomial(Polynomial.zero())
@@ -117,6 +140,34 @@ class TestKsDistance:
             shape = limit_shape(k)
             assert abs(ks_distance(em, shape) - ks_grid_scan(em, shape)) < 1e-9
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=61).filter(any),
+        st.integers(1, 8),
+    )
+    def test_equals_atom_oracle(self, coeffs, k):
+        em = measure_from_polynomial(Polynomial(coeffs))
+        shape = limit_shape(k)
+        assert ks_distance(em, shape) == ks_atom_oracle(em, shape)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.lists(st.integers(0, 1000), max_size=40),
+        st.integers(1, 1000),
+        st.integers(1, 1000),
+        st.booleans(),
+        st.integers(1, 8),
+    )
+    def test_invariant_under_reversal(self, middle, first, last, palindrome, k):
+        # L_k(x) = L_k(1 - x), so reflecting the measure keeps the distance;
+        # nonzero end coefficients keep the degree under reversal
+        coeffs = [first] + middle + [last]
+        if palindrome:
+            coeffs += coeffs[::-1]
+        shape = limit_shape(k)
+        forward = ks_distance(measure_from_polynomial(Polynomial(coeffs)), shape)
+        assert forward == ks_distance(measure_from_polynomial(Polynomial(coeffs[::-1])), shape)
+
     def test_regression_value_50_3(self):
         em = measure_from_polynomial(q_binomial_box(50, 3))
         assert abs(ks_distance(em, limit_shape(3)) - 0.014926214633313412) < 1e-9
@@ -141,6 +192,11 @@ class TestConvergenceTable:
         values = [row.ks for row in convergence_table(4, [10, 20, 40, 80])]
         for a, b in zip(values, values[1:]):
             assert 2 / 1.5 < a / b < 2 * 1.5
+
+    def test_k4_halves_per_doubling_at_large_n(self):
+        values = [row.ks for row in convergence_table(4, [1000, 2000, 4000, 8000])]
+        for a, b in zip(values, values[1:]):
+            assert 1.95 <= a / b <= 2.05
 
     def test_bad_n_list(self):
         with pytest.raises(InvalidArguments):

@@ -1,12 +1,14 @@
 import math
 import sys
 import threading
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from qshape.errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
 from qshape.exactnum import Polynomial
+from qshape.measure import convergence_table
 from qshape.qcore import (
     coefficient_report,
     q_binomial,
@@ -214,6 +216,22 @@ class TestThreads:
             assert len(slot) == len(calls)
             for key, value in slot:
                 assert value == serial[key]
+
+    def test_shape_paths_match_serial(self):
+        calls = (
+            [(convergence_table, (k, (10, 40, 160))) for k in range(1, 9)]
+            + [(shape_cdf, (k, Fraction(j, 7))) for k in range(1, 9) for j in range(8)]
+        )
+        serial = {(fn, args): fn(*args) for fn, args in calls}
+        limit_shape.cache_clear()
+        for slot in hammer(calls):
+            assert len(slot) == len(calls)
+            for key, value in slot:
+                assert value == serial[key]
+
+
+def shape_cdf(k, x):
+    return limit_shape(k).cdf(x)
 
 
 P61 = 2**61 - 1

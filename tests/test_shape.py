@@ -3,10 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qshape.errors import OutOfDomain
 from qshape.exactnum import Polynomial
-from qshape.shape import cube_slice_volume, irwin_hall_density, limit_shape
+from qshape.shape import (
+    PiecewisePolynomial,
+    cube_slice_volume,
+    irwin_hall_density,
+    limit_shape,
+)
 
 
 def convolved_uniform_pieces(k):
@@ -31,6 +38,29 @@ def convolved_uniform_pieces(k):
             for i in range(len(pieces) + 1)
         ]
     return pieces
+
+
+def piece_index(shape, x):
+    return min(int(x * shape.k), shape.k - 1)
+
+
+def evaluate_oracle(shape, x):
+    """The value at x by Fraction Horner on the governing piece."""
+    x = Fraction(x)
+    return Fraction(shape.pieces[piece_index(shape, x)].evaluate(x))
+
+
+def cdf_oracle(shape, x):
+    """The integral from 0 to x, summed from each piece's Fraction
+    antiderivative, with every earlier piece integrated again per call."""
+    x = Fraction(x)
+    i = piece_index(shape, x)
+    total = Fraction(0)
+    for j in range(i):
+        anti = shape.pieces[j].antiderivative()
+        total += anti.evaluate(Fraction(j + 1, shape.k)) - anti.evaluate(Fraction(j, shape.k))
+    anti = shape.pieces[i].antiderivative()
+    return total + anti.evaluate(x) - anti.evaluate(Fraction(i, shape.k))
 
 
 class TestLimitShapePieces:
@@ -93,6 +123,44 @@ class TestCdf:
         shape = limit_shape(4)
         values = [shape.cdf(Fraction(i, 16)) for i in range(17)]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+class TestIntegerKernel:
+    """evaluate and cdf run on integer tables; direct Fraction evaluation
+    of the pieces and of their antiderivatives is the oracle."""
+
+    rationals = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(1, 10), st.lists(rationals, min_size=1, max_size=5))
+    def test_limit_shape_matches_fraction_oracles(self, k, xs):
+        shape = limit_shape(k)
+        for x in xs:
+            assert shape.evaluate(x) == evaluate_oracle(shape, x)
+            assert shape.cdf(x) == cdf_oracle(shape, x)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_random_pieces_match_fraction_oracles(self, data):
+        # pieces of unequal degrees, zero pieces, integer or rational coefficients
+        k = data.draw(st.integers(1, 5), label="k")
+        coefficient = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+        pieces = tuple(
+            Polynomial(data.draw(st.lists(coefficient, max_size=7), label=f"piece {i}"))
+            for i in range(k)
+        )
+        shape = PiecewisePolynomial(k, pieces)
+        for x in data.draw(st.lists(self.rationals, min_size=1, max_size=5), label="xs"):
+            assert shape.evaluate(x) == evaluate_oracle(shape, x)
+            assert shape.cdf(x) == cdf_oracle(shape, x)
+
+    def test_breakpoints_and_ends(self):
+        for k in range(1, 9):
+            shape = limit_shape(k)
+            for i in range(k + 1):
+                x = Fraction(i, k)
+                assert shape.evaluate(x) == evaluate_oracle(shape, x)
+                assert shape.cdf(x) == cdf_oracle(shape, x)
 
 
 class TestStructuralProperties:
