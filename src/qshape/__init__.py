@@ -1,67 +1,59 @@
-"""Exact q-binomial coefficients, quasipolynomial regions, and limit shapes."""
+"""Exact q-binomial coefficients, quasipolynomial regions, and limit shapes.
 
-from .exactnum import Polynomial, solve_linear_rational
-from .qcore import (
-    CoefficientReport,
-    coefficient_report,
-    q_binomial,
-    q_binomial_box,
-    q_binomial_partition_dp,
-    q_binomial_pascal,
-    q_factorial,
-    q_integer,
-)
-from .quasi import (
-    Quasipolynomial,
-    Region,
-    RegionDecomposition,
-    SignedTerm,
-    coefficient_via_recursion,
-    fit_quasipolynomial,
-    initial_quasipolynomial,
-    numerator_expansion,
-    reciprocal_series,
-    region_decomposition,
-)
-from .shape import PiecewisePolynomial, cube_slice_volume, irwin_hall_density, limit_shape
-from .measure import (
-    ConvergenceRow,
-    EmpiricalMeasure,
-    convergence_table,
-    ks_distance,
-    measure_from_polynomial,
-)
+The exported names are resolved on first access (PEP 562), so importing the
+package, or one submodule such as ``qshape.cli``, loads no other submodule.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoefficientReport",
-    "ConvergenceRow",
-    "EmpiricalMeasure",
-    "PiecewisePolynomial",
-    "Polynomial",
-    "Quasipolynomial",
-    "Region",
-    "RegionDecomposition",
-    "SignedTerm",
-    "coefficient_report",
-    "coefficient_via_recursion",
-    "convergence_table",
-    "cube_slice_volume",
-    "fit_quasipolynomial",
-    "initial_quasipolynomial",
-    "irwin_hall_density",
-    "ks_distance",
-    "limit_shape",
-    "measure_from_polynomial",
-    "numerator_expansion",
-    "q_binomial",
-    "q_binomial_box",
-    "q_binomial_partition_dp",
-    "q_binomial_pascal",
-    "q_factorial",
-    "q_integer",
-    "reciprocal_series",
-    "region_decomposition",
-    "solve_linear_rational",
-]
+_EXPORTS = {
+    "exactnum": ("Polynomial", "solve_linear_rational"),
+    "qcore": (
+        "CoefficientReport",
+        "coefficient_report",
+        "q_binomial",
+        "q_binomial_box",
+        "q_binomial_partition_dp",
+        "q_binomial_pascal",
+        "q_factorial",
+        "q_integer",
+    ),
+    "quasi": (
+        "Quasipolynomial",
+        "Region",
+        "RegionDecomposition",
+        "SignedTerm",
+        "coefficient_via_recursion",
+        "fit_quasipolynomial",
+        "initial_quasipolynomial",
+        "numerator_expansion",
+        "reciprocal_series",
+        "region_decomposition",
+    ),
+    "shape": ("PiecewisePolynomial", "cube_slice_volume", "irwin_hall_density", "limit_shape"),
+    "measure": (
+        "ConvergenceRow",
+        "EmpiricalMeasure",
+        "convergence_table",
+        "ks_distance",
+        "measure_from_polynomial",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,17 +8,13 @@ included, are byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .errors import InvalidArguments
-from .measure import convergence_table
-from .qcore import q_binomial_box
-from .quasi import demo_quasipolynomial, region_decomposition
-from .shape import limit_shape
-from .svgplot import PlotSpec, region_fills, render_svg
+
+# Each command imports the engine modules it uses, so a process loads only
+# what its command needs (start-up dominates small requests).
 
 
 def _nonneg(text: str) -> int:
@@ -45,7 +41,7 @@ def _n_list(text: str) -> list[int]:
     return values
 
 
-def _rat(x: Fraction) -> str:
+def _rat(x) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -104,6 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_qbinom(args) -> int:
+    from .qcore import q_binomial_box
+
     poly = q_binomial_box(args.n, args.k)
     out = sys.stdout
     if args.format == "coeffs":
@@ -114,6 +112,8 @@ def cmd_qbinom(args) -> int:
         for i, c in enumerate(poly.coeffs):
             out.write(f"{i},{c}\n")
     else:
+        import json
+
         out.write(json.dumps(
             {"n": args.n, "k": args.k, "degree": poly.degree,
              "coefficients": list(poly.coeffs)}))
@@ -122,11 +122,12 @@ def cmd_qbinom(args) -> int:
 
 
 def cmd_regions(args) -> int:
+    from .quasi import region_decomposition
+
     decomp = region_decomposition(args.n, args.k)
     out = sys.stdout
-    coeffs = q_binomial_box(args.n, args.k).coeffs
     zone_values = {
-        zone: list(coeffs[zone[0]:zone[1] + 1]) for zone in decomp.transition_zones
+        zone: list(decomp.coeffs[zone[0]:zone[1] + 1]) for zone in decomp.transition_zones
     }
     if args.format == "coeffs":
         for region in decomp.regions:
@@ -155,6 +156,8 @@ def cmd_regions(args) -> int:
             joined = " ".join(str(v) for v in values)
             out.write(f"zone,{i},{zone[0]},{zone[1]},,,,{joined}\n")
     else:
+        import json
+
         doc = {
             "n": decomp.n,
             "k": decomp.k,
@@ -167,7 +170,7 @@ def cmd_regions(args) -> int:
                     "period": region.formula.period,
                     "degree": region.formula.degree,
                     "residue_polynomials": [
-                        [_rat(Fraction(c)) for c in poly.coeffs]
+                        [_rat(c) for c in poly.coeffs]
                         for poly in region.formula.polys
                     ],
                 }
@@ -184,6 +187,10 @@ def cmd_regions(args) -> int:
 
 
 def cmd_shape(args) -> int:
+    from fractions import Fraction
+
+    from .shape import limit_shape
+
     curve = limit_shape(args.k)
     out = sys.stdout
     if args.samples is None or args.exact:
@@ -200,6 +207,8 @@ def cmd_shape(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    from .measure import convergence_table
+
     rows = convergence_table(args.k, args.n_list)
     out = sys.stdout
     out.write("n,ks\n")
@@ -209,7 +218,13 @@ def cmd_converge(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from fractions import Fraction
+
+    from .svgplot import PlotSpec, region_fills, render_svg
+
     if args.demo:
+        from .quasi import demo_quasipolynomial
+
         f = demo_quasipolynomial()
         heights = tuple(Fraction(f.evaluate(m)) for m in range(41))
         spec = PlotSpec(
@@ -221,16 +236,24 @@ def cmd_plot(args) -> int:
     else:
         if args.n is None or args.k is None:
             raise InvalidArguments("plot needs --n and --k (or --demo)")
-        poly = q_binomial_box(args.n, args.k)
         fills = None
         if args.color_regions:
+            from .quasi import region_decomposition
+
             decomp = region_decomposition(args.n, args.k)
-            fills = region_fills(len(poly.coeffs), decomp.regions)
+            coeffs = decomp.coeffs
+            fills = region_fills(len(coeffs), decomp.regions)
+        else:
+            from .qcore import q_binomial_box
+
+            coeffs = q_binomial_box(args.n, args.k).coeffs
         overlay = None
         if args.overlay:
+            from .shape import limit_shape
+
             curve = limit_shape(args.k)
-            total = poly.evaluate(1)
-            bars = len(poly.coeffs)
+            total = sum(coeffs)
+            bars = len(coeffs)
             # curve in bar-value units: L(x) * total / bars  (see --help)
             samples = 512
             points = [Fraction(j, samples) for j in range(samples + 1)]
@@ -239,7 +262,7 @@ def cmd_plot(args) -> int:
                 for u, y in zip(points, map(curve.evaluate, points))
             )
         spec = PlotSpec(
-            bar_heights=poly.coeffs,
+            bar_heights=coeffs,
             width_px=args.width,
             height_px=args.height,
             title=f"coefficients of [{args.n}+{args.k} choose {args.k}]_q",

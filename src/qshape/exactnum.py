@@ -9,7 +9,6 @@ all operations are exact and every value is immutable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -18,9 +17,40 @@ from .errors import NonzeroRemainder, SingularSystem
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True, init=False)
-class Polynomial:
-    coeffs: tuple[Scalar, ...]
+class _Frozen:
+    """Immutable value object over the fields named in ``_fields``: equality,
+    hash, repr and pickling use those fields, and assignment raises
+    AttributeError.  Subclasses set their slots once with object.__setattr__."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Polynomial(_Frozen):
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = list(coeffs)

@@ -9,9 +9,8 @@ continuous CDF is attained) and only then rounded to a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
 from .exactnum import Polynomial
@@ -19,8 +18,7 @@ from .qcore import q_binomial_box
 from .shape import PiecewisePolynomial, limit_shape
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
+class EmpiricalMeasure(NamedTuple):
     """Masses coeffs[i] / total at i / source_degree (one unit mass at 0 when
     source_degree is 0); coeffs are coprime, so equal measures compare equal."""
 
@@ -72,8 +70,7 @@ def ks_distance(em: EmpiricalMeasure, shape: PiecewisePolynomial) -> float:
     return float(Fraction(best, em.total * den))
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     ks: float
 

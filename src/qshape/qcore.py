@@ -15,7 +15,7 @@ over partitions in a box.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
 from .exactnum import Polynomial
@@ -105,8 +105,7 @@ def q_binomial_partition_dp(n: int, k: int) -> Polynomial:
     return Polynomial(tuple(sum(dp[c][j] for c in range(n + 1)) for j in range(top + 1)))
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
+class CoefficientReport(NamedTuple):
     symmetric: bool
     unimodal: bool
     peak_index_range: tuple[int, int]

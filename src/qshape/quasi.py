@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     IndexOutOfRange,
@@ -29,20 +28,20 @@ from .errors import (
     NonUnitConstantTerm,
     ValidationFailure,
 )
-from .exactnum import Polynomial, Scalar
+from .exactnum import Polynomial, Scalar, _Frozen
 from .qcore import q_binomial, q_binomial_box
 
 
-@dataclass(frozen=True)
-class Quasipolynomial:
+class Quasipolynomial(_Frozen):
     """One polynomial per residue class: value at m is polys[m mod period](m)."""
 
-    period: int
-    polys: tuple[Polynomial, ...]
+    __slots__ = _fields = ("period", "polys")
 
-    def __post_init__(self):
-        if self.period < 1 or len(self.polys) != self.period:
+    def __init__(self, period: int, polys: tuple[Polynomial, ...]):
+        if period < 1 or len(polys) != period:
             raise InvalidArguments("need exactly one polynomial per residue class")
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "polys", polys)
 
     @property
     def degree(self) -> int:
@@ -142,8 +141,7 @@ def initial_quasipolynomial(k: int) -> Quasipolynomial:
     return fit_quasipolynomial(series, 0, period, k - 1)
 
 
-@dataclass(frozen=True)
-class SignedTerm:
+class SignedTerm(NamedTuple):
     """One numerator term sign * multiplicity * q^(block*n + exponent_offset)."""
 
     sign: int
@@ -197,8 +195,7 @@ def coefficient_via_recursion(n: int, k: int, m: int) -> int:
     return total.numerator
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """One quasipolynomial region of a coefficient sequence.
 
     [left, right] is the conservative interval where every numerator term of
@@ -216,12 +213,15 @@ class Region:
     formula: Quasipolynomial
 
 
-@dataclass(frozen=True)
-class RegionDecomposition:
+class RegionDecomposition(NamedTuple):
+    """Regions and transition zones of [n+k choose k]_q, whose coefficients
+    are coeffs."""
+
     n: int
     k: int
     regions: tuple[Region, ...]
     transition_zones: tuple[tuple[int, int], ...]
+    coeffs: tuple[int, ...]
 
 
 def min_region_n(k: int) -> int:
@@ -272,7 +272,7 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
     zones = tuple(
         (regions[r - 1].right + 1, regions[r].left - 1) for r in range(1, k)
     )
-    return RegionDecomposition(n, k, tuple(regions), zones)
+    return RegionDecomposition(n, k, tuple(regions), zones, true_coeffs)
 
 
 def demo_quasipolynomial() -> Quasipolynomial:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidArguments, OutOfDomain
-from .exactnum import Polynomial, Scalar
+from .exactnum import Polynomial, Scalar, _Frozen
 
 
 def _integer_rows(polys) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -31,28 +30,28 @@ def _integer_rows(polys) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(c.numerator * den // c.denominator for c in row) for row in padded), den
 
 
-@dataclass(frozen=True)
-class PiecewisePolynomial:
+class PiecewisePolynomial(_Frozen):
     """Continuous piecewise polynomial on [0,1]; piece i governs [i/k, (i+1)/k].
 
     Construction precomputes integer rows over one denominator for the
     pieces and for the CDF (each piece's antiderivative plus the prefix sum
     of the earlier pieces' integrals); evaluation is integer arithmetic.
+    Equality, hash and repr use k and pieces only.
     """
 
-    k: int
-    pieces: tuple[Polynomial, ...]
-    _density: tuple = field(init=False, repr=False, compare=False)
-    _cdf: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("k", "pieces", "_density", "_cdf")
+    _fields = ("k", "pieces")
 
-    def __post_init__(self):
+    def __init__(self, k: int, pieces: tuple[Polynomial, ...]):
         cdf_pieces, below = [], Fraction(0)
-        for i, piece in enumerate(self.pieces):
+        for i, piece in enumerate(pieces):
             anti = piece.antiderivative()
-            left = anti.evaluate(Fraction(i, self.k))
+            left = anti.evaluate(Fraction(i, k))
             cdf_pieces.append(anti + (below - left))
-            below += anti.evaluate(Fraction(i + 1, self.k)) - left
-        object.__setattr__(self, "_density", _integer_rows(self.pieces))
+            below += anti.evaluate(Fraction(i + 1, k)) - left
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_density", _integer_rows(pieces))
         object.__setattr__(self, "_cdf", _integer_rows(cdf_pieces))
 
     def _numerator(self, rows, a: int, b: int) -> int:
@@ -81,10 +80,23 @@ class PiecewisePolynomial:
 
     def _cdf_grid(self, d: int) -> tuple[list[int], int]:
         """The CDF at j/d for j = 0..d (at 0 alone when d = 0), as integer
-        numerators over one common denominator."""
+        numerators over one common denominator.
+
+        Each row is scaled once to c_m b^(deg-m) (b = max(d, 1)), so every
+        grid point is plain Horner in j."""
         (rows, den), b = self._cdf, max(d, 1)
-        values = [self._numerator(rows, j, b) for j in range(d + 1)]
-        return values, den * b ** (len(rows[0]) - 1)
+        deg = len(rows[0]) - 1
+        values = []
+        for i in range(self.k):
+            top, *rest = [c * b ** (deg - m) for m, c in enumerate(rows[i])][::-1]
+            # row i governs the j with i <= k*j/b < i+1; the last one also j = b
+            stop = d + 1 if i == self.k - 1 else -(-(i + 1) * b // self.k)
+            for j in range(len(values), stop):
+                acc = top
+                for c in rest:
+                    acc = acc * j + c
+                values.append(acc)
+        return values, den * b**deg
 
 
 @functools.lru_cache(maxsize=None)

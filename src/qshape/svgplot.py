@@ -9,9 +9,7 @@ polynomials of different degrees comparable.
 from __future__ import annotations
 
 import html
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import Scalar
 
@@ -25,8 +23,7 @@ _MARGIN = 10
 _TITLE_BAND = 30
 
 
-@dataclass(frozen=True)
-class PlotSpec:
+class PlotSpec(NamedTuple):
     """Everything needed to render one bar graph.
 
     bar_heights are raw non-negative values; overlay points are pairs
@@ -57,12 +54,12 @@ def render_svg(spec: PlotSpec) -> str:
     peak = max(bars)
     if peak == 0:
         raise ValueError("all bars are zero")
-    scale = Fraction(spec.height_px) / Fraction(peak)
 
     width = spec.width_px + 2 * _MARGIN
     height = spec.height_px + _TITLE_BAND + _MARGIN
     base_y = _TITLE_BAND + spec.height_px
-    bar_w = Fraction(spec.width_px, len(bars))
+    count = len(bars)
+    bar_w = _fmt(spec.width_px / count)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -71,18 +68,21 @@ def render_svg(spec: PlotSpec) -> str:
         f'<text x="{width // 2}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{html.escape(spec.title, quote=False)}</text>',
     ]
+    # every coordinate is an exact rational taken as an integer ratio: int
+    # true division rounds correctly, so each float is the float of the
+    # exact value; the scale height_px / peak is sn / sd
+    pn, pd = peak.as_integer_ratio()
+    sn, sd = spec.height_px * pd, pn
     for i, raw in enumerate(bars):
-        h = Fraction(raw) * scale
-        x = _MARGIN + bar_w * i
+        rn, rd = raw.as_integer_ratio()
+        hn, hd = rn * sn, rd * sd
         fill = spec.region_colors[i] if spec.region_colors is not None else BAR_FILL
         lines.append(
-            f'<rect class="bar" x="{_fmt(x)}" y="{_fmt(base_y - h)}" '
-            f'width="{_fmt(bar_w)}" height="{_fmt(h)}" fill="{fill}"/>'
+            f'<rect class="bar" x="{_fmt((_MARGIN * count + spec.width_px * i) / count)}" '
+            f'y="{_fmt((base_y * hd - hn) / hd)}" '
+            f'width="{bar_w}" height="{_fmt(hn / hd)}" fill="{fill}"/>'
         )
     if spec.overlay:
-        # the exact coordinates as integer ratios: int true division rounds
-        # correctly, so each float is the float of the exact rational
-        sn, sd = scale.as_integer_ratio()
         ratios = ((u.as_integer_ratio(), v.as_integer_ratio()) for u, v in spec.overlay)
         points = " ".join(
             f"{_fmt((_MARGIN * ud + un * spec.width_px) / ud)},"

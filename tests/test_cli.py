@@ -6,12 +6,14 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qshape
 from qshape.cli import main
 from qshape.qcore import q_binomial_box
+from qshape.quasi import demo_quasipolynomial
 from qshape.shape import limit_shape
 from qshape.svgplot import PlotSpec, _fmt, render_svg
 
@@ -38,6 +40,24 @@ def polyline_oracle(spec):
         f"{_fmt(10 + Fraction(u) * spec.width_px)},{_fmt(base_y - Fraction(v) * scale)}"
         for u, v in spec.overlay
     )
+
+
+def bar_oracle(spec):
+    """The bar elements by Fraction arithmetic: margin 10, title band 30."""
+    bars = spec.bar_heights
+    scale = Fraction(spec.height_px) / Fraction(max(bars))
+    bar_w = Fraction(spec.width_px, len(bars))
+    fills = spec.region_colors or ("steelblue",) * len(bars)
+    return [
+        f'<rect class="bar" x="{_fmt(10 + bar_w * i)}" '
+        f'y="{_fmt(30 + spec.height_px - Fraction(raw) * scale)}" '
+        f'width="{_fmt(bar_w)}" height="{_fmt(Fraction(raw) * scale)}" fill="{fill}"/>'
+        for i, (raw, fill) in enumerate(zip(bars, fills))
+    ]
+
+
+def svg_bars(svg_text):
+    return [line for line in svg_text.splitlines() if line.startswith('<rect class="bar"')]
 
 
 def bar_heights(svg_text):
@@ -123,6 +143,32 @@ class TestRegions:
         assert len(doc["transition_zones"]) == 2
 
 
+class TestComputeOnce:
+    @pytest.mark.parametrize("argv", [
+        ["regions", "--n", "50", "--k", "4"],
+        ["regions", "--n", "50", "--k", "4", "--format", "json"],
+        ["plot", "--n", "50", "--k", "4", "--color-regions", "--overlay"],
+    ])
+    def test_box_polynomial_built_once(self, monkeypatch, tmp_path, capsys, argv):
+        import qshape.cli
+        import qshape.qcore
+        import qshape.quasi
+
+        calls = []
+
+        def counted(n, k):
+            calls.append((n, k))
+            return q_binomial_box(n, k)
+
+        # every module that could call it, however it imports the name
+        for module in (qshape.cli, qshape.qcore, qshape.quasi):
+            monkeypatch.setattr(module, "q_binomial_box", counted, raising=False)
+        if argv[0] == "plot":
+            argv = argv + ["--out", str(tmp_path / "p.svg")]
+        assert run(capsys, *argv)[0] == 0
+        assert calls.count((50, 4)) == 1
+
+
 class TestShape:
     def test_exact_k3(self, capsys):
         code, out = run(capsys, "shape", "--k", "3", "--exact")
@@ -175,21 +221,92 @@ class TestConverge:
         assert len(lines) == 2 and lines[1].startswith("10000,")
 
 
+def fresh_python(code):
+    """stdout of `code` run in a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(qshape.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    return result.stdout
+
+
 class TestStartup:
     def test_import_skips_network_modules(self):
         # every command pays for what `import qshape.cli` pulls in
-        src = os.path.dirname(os.path.dirname(qshape.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         probe = (
             "import sys, qshape.cli; "
             "print(sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules))"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-            timeout=60, check=True,
+        assert fresh_python(probe) == "[]\n"
+
+    def test_import_loads_no_engine(self):
+        # each command imports its own engine modules
+        probe = (
+            "import sys, qshape.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'json', 'html', 'qshape.quasi', "
+            "'qshape.shape', 'qshape.measure', 'qshape.svgplot') if m in sys.modules))"
         )
-        assert result.stdout == "[]\n"
+        assert fresh_python(probe) == "[]\n"
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["qbinom", "--n", "3", "--k", "2"],
+         ["dataclasses", "json", "qshape.measure", "qshape.quasi", "qshape.shape",
+          "qshape.svgplot"]),
+        (["shape", "--k", "3"], ["qshape.measure", "qshape.qcore", "qshape.quasi",
+                                 "qshape.svgplot"]),
+        (["converge", "--k", "3", "--n-list", "5"], ["json", "qshape.quasi", "qshape.svgplot"]),
+        (["regions", "--n", "24", "--k", "4"], ["json", "qshape.measure", "qshape.shape",
+                                                "qshape.svgplot"]),
+    ])
+    def test_command_loads_only_its_modules(self, argv, absent):
+        probe = (
+            "import contextlib, io, sys; from qshape.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): code = main({argv!r})\n"
+            f"print(code, sorted(m for m in {absent!r} if m in sys.modules))"
+        )
+        assert fresh_python(probe) == "0 []\n"
+
+    def test_every_export_resolves(self):
+        probe = (
+            "import sys, qshape\n"
+            "listed = set(qshape.__all__) <= set(dir(qshape))\n"
+            "for name in qshape.__all__:\n"
+            "    value = getattr(qshape, name)\n"
+            "    assert getattr(sys.modules[value.__module__], name) is value, name\n"
+            "namespace = {}\n"
+            "exec('from qshape import *', namespace)\n"
+            "print(sorted(set(namespace) - {'__builtins__'}) == sorted(qshape.__all__),"
+            " listed, len(qshape.__all__))"
+        )
+        assert fresh_python(probe) == "True True 29\n"
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            qshape.no_such_name
+        assert not hasattr(qshape, "Polynomials")
+
+    def test_threads_resolve_the_same_objects(self):
+        # 8 threads race to resolve every lazy name in a fresh interpreter
+        probe = (
+            "import random, sys, threading, qshape\n"
+            "barrier, seen = threading.Barrier(8), []\n"
+            "def resolve(seed):\n"
+            "    names = list(qshape.__all__)\n"
+            "    random.Random(seed).shuffle(names)\n"
+            "    barrier.wait()\n"
+            "    seen.append({name: getattr(qshape, name) for name in names})\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "threads = [threading.Thread(target=resolve, args=(i,)) for i in range(8)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(timeout=30)\n"
+            "final = {name: getattr(qshape, name) for name in qshape.__all__}\n"
+            "print(len(seen), not any(t.is_alive() for t in threads),"
+            " all(all(s[n] is final[n] for n in final) for s in seen))"
+        )
+        assert fresh_python(probe) == "8 True True\n"
 
 
 class TestPlot:
@@ -268,6 +385,41 @@ class TestPlot:
     def test_overlay_render_matches_fraction_oracle(self, bars, overlay, width, height):
         spec = PlotSpec(tuple(bars), width, height, "", overlay=tuple(overlay))
         assert polyline(render_svg(spec)) == polyline_oracle(spec)
+
+    @pytest.mark.parametrize("n, k, width, height, colored", [
+        (2, 2, 800, 300, False),
+        (10, 4, 333, 97, False),
+        (300, 5, 7, 1000, False),
+        (50, 4, 800, 300, True),
+    ])
+    def test_bars_match_fraction_oracle(self, tmp_path, n, k, width, height, colored):
+        out_file = tmp_path / "p.svg"
+        argv = ["plot", "--n", str(n), "--k", str(k), "--width", str(width),
+                "--height", str(height), "--out", str(out_file)]
+        assert main(argv + ["--color-regions"] * colored) == 0
+        svg = out_file.read_text()
+        fills = tuple(bar_fills(svg)) if colored else None
+        spec = PlotSpec(q_binomial_box(n, k).coeffs, width, height, "", region_colors=fills)
+        assert svg_bars(svg) == bar_oracle(spec)
+
+    def test_demo_bars_match_fraction_oracle(self, tmp_path):
+        # Fraction bar heights
+        out_file = tmp_path / "d.svg"
+        assert main(["plot", "--demo", "--width", "501", "--out", str(out_file)]) == 0
+        f = demo_quasipolynomial()
+        spec = PlotSpec(tuple(Fraction(f.evaluate(m)) for m in range(41)), 501, 300, "")
+        assert svg_bars(out_file.read_text()) == bar_oracle(spec)
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(
+        st.lists(st.one_of(st.integers(0, 10 ** 30), st.fractions(min_value=0, max_value=10 ** 6)),
+                 min_size=1, max_size=20).filter(any),
+        st.integers(1, 2000),
+        st.integers(1, 1000),
+    )
+    def test_bar_render_matches_fraction_oracle(self, bars, width, height):
+        spec = PlotSpec(tuple(bars), width, height, "")
+        assert svg_bars(render_svg(spec)) == bar_oracle(spec)
 
     def test_demo_two_branches(self, tmp_path):
         out_file = tmp_path / "d.svg"

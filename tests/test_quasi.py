@@ -305,6 +305,10 @@ class TestRegionDecomposition:
             next_block_start = (region.index + 1) * 50 + (region.index + 1) * (region.index + 2) // 2
             assert region.right == next_block_start - 1
 
+    def test_carries_the_coefficients(self):
+        for n, k in [(2, 1), (24, 4), (120, 5)]:
+            assert region_decomposition(n, k).coeffs == q_binomial_box(n, k).coeffs
+
     def test_n_too_small(self):
         with pytest.raises(InvalidArguments):
             region_decomposition(5, 4)

@@ -154,6 +154,26 @@ class TestIntegerKernel:
             assert shape.evaluate(x) == evaluate_oracle(shape, x)
             assert shape.cdf(x) == cdf_oracle(shape, x)
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_cdf_grid_matches_cdf(self, data):
+        # the KS sweep's pre-scaled grid against the CDF at every j/d,
+        # for L_k and for random pieces of unequal degrees
+        k = data.draw(st.integers(1, 8), label="k")
+        if data.draw(st.booleans(), label="limit shape"):
+            shape = limit_shape(k)
+        else:
+            coefficient = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+            shape = PiecewisePolynomial(k, tuple(
+                Polynomial(data.draw(st.lists(coefficient, max_size=7), label=f"piece {i}"))
+                for i in range(k)
+            ))
+        d = data.draw(st.integers(0, 300), label="d")
+        values, den = shape._cdf_grid(d)
+        rows, row_den = shape._cdf
+        assert den == row_den * max(d, 1) ** (len(rows[0]) - 1)
+        assert values == [shape.cdf(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
+
     def test_breakpoints_and_ends(self):
         for k in range(1, 9):
             shape = limit_shape(k)
