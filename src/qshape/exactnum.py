@@ -214,16 +214,16 @@ class Polynomial(_Frozen):
         if descending:
             indices = reversed(indices)
         for i in indices:
-            c = self.coeffs[i]
-            if c == 0:
+            num, den = self.coeffs[i].numerator, self.coeffs[i].denominator
+            if not num:
                 continue
-            mag = -c if c < 0 else c
+            mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
             if i == 0:
-                body = str(mag)
+                body = mag
             else:
-                head = "" if mag == 1 else f"{mag} "
+                head = "" if mag == "1" else f"{mag} "
                 body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
-            terms.append(("-" if c < 0 else "+", body))
+            terms.append(("-" if num < 0 else "+", body))
         sign, first = terms[0]
         text = first if sign == "+" else f"-{first}"
         for sign, body in terms[1:]:

@@ -12,13 +12,15 @@ coefficient of q^m is a signed sum of power-series coefficients of
 partitions into parts at most k and are exactly quasipolynomial, as is each
 region's partial-numerator series past its last exponent: every formula is
 fitted from its own integer series by forward differences and validated on
-held-out samples.
+held-out samples.  Where each formula starts to match follows in closed
+form from Stanley reciprocity for partitions into parts <= k.
 """
 from __future__ import annotations
 
 import functools
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -118,12 +120,12 @@ def fit_quasipolynomial(
     return Quasipolynomial(period, tuple(polys))
 
 
-def _parts_denominator(k: int) -> Polynomial:
-    """(1-q)...(1-q^k), whose reciprocal counts partitions into parts <= k."""
-    den = Polynomial.one()
+def _divide_by_parts(series: list[int], k: int) -> list[int]:
+    """Divide series by (1-q)...(1-q^k) in place: by 1-q^i, a prefix sum per class mod i."""
     for i in range(1, k + 1):
-        den = den * (Polynomial.one() - Polynomial.monomial(i))
-    return den
+        for c in range(i):
+            series[c::i] = accumulate(series[c::i])
+    return series
 
 
 @functools.lru_cache(maxsize=None)
@@ -137,7 +139,7 @@ def initial_quasipolynomial(k: int) -> Quasipolynomial:
     if k < 1:
         raise InvalidArguments("needs k >= 1")
     period = math.lcm(*range(1, k + 1))
-    series = reciprocal_series(_parts_denominator(k), 2 * k * period)
+    series = _divide_by_parts([1] + [0] * (2 * k * period - 1), k)
     return fit_quasipolynomial(series, 0, period, k - 1)
 
 
@@ -201,9 +203,9 @@ class Region(NamedTuple):
     [left, right] is the conservative interval where every numerator term of
     blocks <= index applies in full, so the formula provably matches the
     coefficients there; these intervals tile [0, n*k] together with the
-    transition zones.  valid_from is the empirically detected smallest m from
-    which the formula matches the true coefficients all the way to right; it
-    can sit well below left, making neighbouring formulas overlap.
+    transition zones.  valid_from is the smallest m from which the formula
+    matches the true coefficients all the way to right: by reciprocity, 0 for
+    region 0 and left - k(k+1)/2 + 1 for the others, so formulas overlap.
     """
 
     index: int
@@ -246,28 +248,26 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
             f"n={n} too small for k={k}: need n >= {min_region_n(k)}"
         )
     period = math.lcm(*range(1, k + 1))
-    window = 2 * k * period
-    top = n * k
-    # n >= min_region_n(k) keeps every fit start (left) at or below top
-    series = reciprocal_series(_parts_denominator(k), top + window)
     true_coeffs = q_binomial_box(n, k).coeffs
 
     regions = []
     terms = numerator_expansion(k)
     for r in range(k):
         active = [(t.sign * t.multiplicity, t.exponent(n)) for t in terms if t.block <= r]
-        # left is the largest active exponent, so no slice start left - e is
-        # negative (that would silently read from the end of the series)
         left = max(e for _, e in active)
-        values = [0] * window
+        series = [0] * (left + 2 * k * period)
         for c, e in active:
-            values = [v + c * s for v, s in zip(values, series[left - e :])]
-        formula = fit_quasipolynomial(values, left, period, k - 1)
-        right = top if r == k - 1 else (r + 1) * n + (r + 1) * (r + 2) // 2 - 1
-        m = right
-        while m >= 0 and formula.evaluate(m) == true_coeffs[m]:
-            m -= 1
-        regions.append(Region(r, left, right, m + 1, formula))
+            series[e] += c
+        formula = fit_quasipolynomial(_divide_by_parts(series, k)[left:], left, period, k - 1)
+        right = n * k if r == k - 1 else (r + 1) * n + (r + 1) * (r + 2) // 2 - 1
+        # at m < left the formula is off by sum c * F(m - e) over active e > m,
+        # and by reciprocity the base quasipolynomial F vanishes at -1..1-T and
+        # F(-T) = +-1, with T = k(k+1)/2
+        valid_from = left - k * (k + 1) // 2 + 1 if r else 0
+        below = valid_from and formula.evaluate(valid_from - 1) == true_coeffs[valid_from - 1]
+        if below or formula.evaluate(valid_from) != true_coeffs[valid_from]:
+            raise ArithmeticError(f"region {r} formula does not start matching at m={valid_from}")
+        regions.append(Region(r, left, right, valid_from, formula))
 
     zones = tuple(
         (regions[r - 1].right + 1, regions[r].left - 1) for r in range(1, k)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qshape.errors import NonzeroRemainder, SingularSystem
 from qshape.exactnum import Polynomial, solve_linear_rational
@@ -168,3 +170,45 @@ class TestToString:
         assert P(-1, 0, 2).to_string("x", descending=True) == "2 x^2 - 1"
         assert P(0, 1).to_string("x") == "x"
         assert Polynomial.zero().to_string() == "0"
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-3, 3),
+                st.integers(-(10**30), 10**30),
+                st.fractions(max_denominator=50),
+            ),
+            max_size=8,
+        ),
+        st.booleans(),
+    )
+    def test_matches_comparison_rendering(self, coeffs, descending):
+        p = Polynomial(coeffs)
+        assert p.to_string("m", descending) == to_string_oracle(p, "m", descending)
+
+
+def to_string_oracle(poly, var, descending):
+    """Oracle rendering by Fraction comparison, negation and str()."""
+    if not poly.coeffs:
+        return "0"
+    terms = []
+    indices = range(len(poly.coeffs))
+    if descending:
+        indices = reversed(indices)
+    for i in indices:
+        c = poly.coeffs[i]
+        if c == 0:
+            continue
+        mag = -c if c < 0 else c
+        if i == 0:
+            body = str(mag)
+        else:
+            head = "" if mag == 1 else f"{mag} "
+            body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+        terms.append(("-" if c < 0 else "+", body))
+    sign, first = terms[0]
+    text = first if sign == "+" else f"-{first}"
+    for sign, body in terms[1:]:
+        text += f" {sign} {body}"
+    return text

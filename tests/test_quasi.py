@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qshape import quasi
 from qshape.errors import (
     IndexOutOfRange,
     InsufficientSamples,
@@ -15,6 +16,7 @@ from qshape.errors import (
 from qshape.exactnum import Polynomial, solve_linear_rational
 from qshape.qcore import q_binomial_box
 from qshape.quasi import (
+    Quasipolynomial,
     SignedTerm,
     coefficient_via_recursion,
     demo_quasipolynomial,
@@ -126,6 +128,28 @@ def shift_and_add_formulas(n, k):
                 sums = [s + p * c for s, p in zip(sums, shifted.polys)]
         formulas.append(tuple(sums))
     return formulas
+
+
+def scan_valid_from(formula, true, right):
+    """Oracle valid_from: walk down from right while the formula matches the
+    true coefficients; the smallest m of that run."""
+    m = right
+    while m >= 0 and formula.evaluate(m) == true[m]:
+        m -= 1
+    return m + 1
+
+
+def perturbed_fit(change):
+    """fit_quasipolynomial with change(start_index, polys) applied to its
+    residue polynomials (a list, edited in place)."""
+    fit = fit_quasipolynomial
+
+    def wrapped(values, start_index, period, degree):
+        polys = list(fit(values, start_index, period, degree).polys)
+        change(start_index, polys)
+        return Quasipolynomial(period, tuple(polys))
+
+    return wrapped
 
 
 class TestInitialQuasipolynomial:
@@ -293,11 +317,57 @@ class TestRegionDecomposition:
         assert widths == widths[::-1]
 
     def test_valid_from_never_exceeds_tile_start(self):
-        # the empirically detected validity interval contains the tile;
-        # how far it spills left (the overlap) is observed, not asserted
+        # the validity interval contains the tile
         for n, k in ((50, 4), (40, 3), (16, 2)):
             for region in region_decomposition(n, k).regions:
                 assert region.valid_from <= region.left
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(16, 2), (17, 2), (41, 3), (24, 4), (50, 4), (77, 4), (120, 5),
+         (131, 5), (120, 6), (200, 6), (840, 7)],
+    )
+    def test_valid_from_matches_scan(self, n, k):
+        true = q_binomial_box(n, k).coeffs
+        for region in region_decomposition(n, k).regions:
+            assert region.valid_from == scan_valid_from(region.formula, true, region.right)
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(st.data())
+    def test_valid_from_matches_scan_property(self, data):
+        k = data.draw(st.integers(1, 6), label="k")
+        n = data.draw(st.integers(min_region_n(k), 3 * min_region_n(k)), label="n")
+        true = q_binomial_box(n, k).coeffs
+        spill = k * (k + 1) // 2 - 1
+        for region in region_decomposition(n, k).regions:
+            closed = region.left - spill if region.index else 0
+            assert region.valid_from == closed
+            assert closed == scan_valid_from(region.formula, true, region.right)
+
+    def test_certificate_catches_mismatch_at_valid_from(self, monkeypatch):
+        # residue 0 holds valid_from = 0 of region 0
+        def bump(start_index, polys):
+            polys[0] += 1
+
+        monkeypatch.setattr(quasi, "fit_quasipolynomial", perturbed_fit(bump))
+        with pytest.raises(ArithmeticError, match=r"region 0 .* at m=0"):
+            region_decomposition(16, 2)
+
+    def test_certificate_catches_match_below_valid_from(self, monkeypatch):
+        # shift region 1's residue of valid_from - 1 onto the true value
+        # there; valid_from itself lies in the other residue and still matches
+        n, k = 16, 2
+        region = region_decomposition(n, k).regions[1]
+        m = region.valid_from - 1
+        gap = q_binomial_box(n, k).coeffs[m] - region.formula.evaluate(m)
+
+        def close_gap(start_index, polys):
+            if start_index == region.left:
+                polys[m % len(polys)] += gap
+
+        monkeypatch.setattr(quasi, "fit_quasipolynomial", perturbed_fit(close_gap))
+        with pytest.raises(ArithmeticError, match=rf"region 1 .* at m={region.valid_from}"):
+            region_decomposition(n, k)
 
     def test_right_endpoints_below_next_block(self):
         decomp = region_decomposition(50, 4)
@@ -328,7 +398,7 @@ class TestRegionDecomposition:
         true = q_binomial_box(n, k).coeffs
         for region in region_decomposition(n, k).regions:
             f = region.formula
-            for m in range(region.left, region.right + 1):
+            for m in range(region.valid_from, region.right + 1):
                 assert f.evaluate(m) == true[m]
             assert f.evaluate(region.valid_from) == true[region.valid_from]
             if region.valid_from > 0:
