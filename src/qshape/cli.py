@@ -137,8 +137,8 @@ def cmd_regions(args) -> int:
                 f" (formula valid from {region.valid_from}),"
                 f" period {f.period}, degree {f.degree}\n"
             )
-            for r, poly in enumerate(f.polys):
-                out.write(f"  m = {r} (mod {f.period}): {poly.to_string('m', descending=True)}\n")
+            for r, text in enumerate(f.residue_strings("m", descending=True)):
+                out.write(f"  m = {r} (mod {f.period}): {text}\n")
         for zone, values in zone_values.items():
             joined = " ".join(str(v) for v in values)
             out.write(f"transition zone [{zone[0]}, {zone[1]}]: {joined}\n")
@@ -146,11 +146,10 @@ def cmd_regions(args) -> int:
         out.write("kind,index,left,right,valid_from,period,residue,formula\n")
         for region in decomp.regions:
             f = region.formula
-            for r, poly in enumerate(f.polys):
+            for r, text in enumerate(f.residue_strings("m", descending=True)):
                 out.write(
                     f"region,{region.index},{region.left},{region.right},"
-                    f"{region.valid_from},{f.period},{r},"
-                    f"{poly.to_string('m', descending=True)}\n"
+                    f"{region.valid_from},{f.period},{r},{text}\n"
                 )
         for i, (zone, values) in enumerate(zone_values.items()):
             joined = " ".join(str(v) for v in values)
@@ -170,8 +169,8 @@ def cmd_regions(args) -> int:
                     "period": region.formula.period,
                     "degree": region.formula.degree,
                     "residue_polynomials": [
-                        [_rat(c) for c in poly.coeffs]
-                        for poly in region.formula.polys
+                        [str(a) if b == 1 else f"{a}/{b}" for a, b in region.formula.ratios(r)]
+                        for r in range(region.formula.period)
                     ],
                 }
                 for region in decomp.regions

@@ -9,12 +9,15 @@ all operations are exact and every value is immutable.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+import math
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import NonzeroRemainder, SingularSystem
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 
 class _Frozen:
@@ -87,7 +90,7 @@ class Polynomial(_Frozen):
         return bool(self.coeffs)
 
     def __add__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = Polynomial((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -103,7 +106,7 @@ class Polynomial(_Frozen):
         return Polynomial(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = Polynomial((other,))
         return self + (-other)
 
@@ -111,7 +114,7 @@ class Polynomial(_Frozen):
         return Polynomial((other,)) - self
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             return Polynomial(tuple(c * other for c in self.coeffs))
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -144,6 +147,8 @@ class Polynomial(_Frozen):
         out with integer coefficients whenever the inputs are integral and
         the division is exact.
         """
+        from fractions import Fraction
+
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
@@ -179,6 +184,7 @@ class Polynomial(_Frozen):
 
     def antiderivative(self) -> Polynomial:
         """Antiderivative with zero constant term, exact over Fractions."""
+        from fractions import Fraction
         return Polynomial((0,) + tuple(Fraction(c, i + 1) for i, c in enumerate(self.coeffs)))
 
     def taylor_shift(self, h: Scalar) -> Polynomial:
@@ -207,28 +213,36 @@ class Polynomial(_Frozen):
 
     def to_string(self, var: str = "q", descending: bool = False) -> str:
         """Human-readable rendering, rationals as num/den (e.g. "1/2 m + 1")."""
-        if not self.coeffs:
-            return "0"
-        terms = []
-        indices = range(len(self.coeffs))
-        if descending:
-            indices = reversed(indices)
-        for i in indices:
-            num, den = self.coeffs[i].numerator, self.coeffs[i].denominator
-            if not num:
-                continue
-            mag = f"{abs(num)}" if den == 1 else f"{abs(num)}/{den}"
-            if i == 0:
-                body = mag
-            else:
-                head = "" if mag == "1" else f"{mag} "
-                body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
-            terms.append(("-" if num < 0 else "+", body))
-        sign, first = terms[0]
-        text = first if sign == "+" else f"-{first}"
-        for sign, body in terms[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _render_rows(*_integer_rows([self]), var, descending)[0]
+
+
+def _integer_rows(polys: Sequence[Polynomial]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Coefficient rows of one length >= 1, as integers over one common denominator."""
+    width = max([len(p.coeffs) for p in polys] + [1])
+    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    padded = (p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys)
+    return tuple(tuple(c.numerator * den // c.denominator for c in row) for row in padded), den
+
+
+def _render_rows(rows: Sequence, den: int, var: str = "q", descending: bool = False) -> list[str]:
+    """Polynomial.to_string of each polynomial sum_i row[i]/den * var^i, for
+    rows of one length >= 1 over den > 0.  Each coefficient is reduced and
+    formatted once per distinct value of its power: the residue polynomials
+    of a quasipolynomial share most of their values."""
+    cols = []
+    for i, col in enumerate(zip(*rows)):
+        text = {}
+        for c in set(col):
+            g = math.gcd(c, den)
+            mag = f"{abs(c) // g}" if g == den else f"{abs(c) // g}/{den // g}"
+            if i:
+                mag = f"{'' if mag == '1' else mag + ' '}{var}{'' if i == 1 else f'^{i}'}"
+            text[c] = f" - {mag}" if c < 0 else f" + {mag}" if c else ""
+        cols.append(map(text.__getitem__, col))
+    if descending:
+        cols.reverse()
+    # every term starts " + " or " - ": drop the leading one's spaces and plus
+    return ["-" + t[3:] if t[1:2] == "-" else t[3:] or "0" for t in map("".join, zip(*cols))]
 
 
 def solve_linear_rational(
@@ -238,6 +252,8 @@ def solve_linear_rational(
 
     Raises SingularSystem when the matrix is not invertible.
     """
+    from fractions import Fraction
+
     n = len(rhs)
     if any(len(row) != n for row in matrix) or len(matrix) != n:
         raise ValueError("system must be square")

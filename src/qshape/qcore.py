@@ -48,8 +48,8 @@ def q_binomial(n: int, k: int) -> Polynomial:
 def q_binomial_box(n: int, k: int) -> Polynomial:
     """[n+k choose k]_q: the generating function of partitions in an n-by-k box.
 
-    Runs the product formula as power series truncated at degree n*k, which
-    is exact because the result is a polynomial of that degree: multiplying
+    Runs the product formula as power series truncated at degree n*k // 2
+    and mirrors the result, which is palindromic of degree n*k: multiplying
     by (1 - q^e) is one descending subtraction pass and dividing by
     (1 - q^i) one ascending prefix sum with stride i.  Since
     [n+k choose k]_q = [n+k choose n]_q, it takes min(n, k) factors.
@@ -59,14 +59,15 @@ def q_binomial_box(n: int, k: int) -> Polynomial:
     if n < k:
         n, k = k, n
     top = n * k
-    c = [1] + [0] * top
+    half = top // 2
+    c = [1] + [0] * half
     for i in range(1, k + 1):
         e = n + i
-        for j in range(top, e - 1, -1):
+        for j in range(half, e - 1, -1):
             c[j] -= c[j - e]
-        for j in range(i, top + 1):
+        for j in range(i, half + 1):
             c[j] += c[j - i]
-    return Polynomial(c)
+    return Polynomial(c + c[: top - half][::-1])
 
 
 def q_binomial_pascal(n: int, k: int) -> Polynomial:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import sub
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -30,34 +30,67 @@ from .errors import (
     NonUnitConstantTerm,
     ValidationFailure,
 )
-from .exactnum import Polynomial, Scalar, _Frozen
+from .exactnum import Polynomial, Scalar, _Frozen, _integer_rows, _render_rows
 from .qcore import q_binomial, q_binomial_box
 
 
 class Quasipolynomial(_Frozen):
-    """One polynomial per residue class: value at m is polys[m mod period](m)."""
+    """One polynomial per residue class: value at m is polys[m mod period](m).
 
-    __slots__ = _fields = ("period", "polys")
+    rows[r] is den times residue r's coefficients, lowest power first; all
+    rows have one length >= 1 and one den > 0 (the fit's d!*period^d).
+    Equality, hash, repr and pickling use the derived polys."""
 
-    def __init__(self, period: int, polys: tuple[Polynomial, ...]):
+    __slots__ = ("period", "rows", "den")
+    _fields = ("period", "polys")
+
+    def __new__(cls, period: int, polys: tuple[Polynomial, ...]):
         if period < 1 or len(polys) != period:
             raise InvalidArguments("need exactly one polynomial per residue class")
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "polys", polys)
+        return cls._from_rows(period, *_integer_rows(polys))
+
+    @classmethod
+    def _from_rows(cls, period: int, rows: tuple[tuple[int, ...], ...], den: int):
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (period, rows, den)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @property
+    def polys(self) -> tuple[Polynomial, ...]:
+        from fractions import Fraction
+        return tuple(Polynomial(Fraction(c, self.den) for c in row) for row in self.rows)
 
     @property
     def degree(self) -> int:
-        return max(p.degree for p in self.polys)
+        return max((i for i, col in enumerate(zip(*self.rows)) if any(col)), default=-1)
+
+    def _numerator(self, m: int) -> int:
+        """den times the value at m, by integer Horner."""
+        acc = 0
+        for c in reversed(self.rows[m % self.period]):
+            acc = acc * m + c
+        return acc
 
     def evaluate(self, m: int) -> Scalar:
-        return self.polys[m % self.period].evaluate(m)
+        from fractions import Fraction
+        return Fraction(self._numerator(m), self.den)
+
+    def ratios(self, r: int) -> list[tuple[int, int]]:
+        """polys[r].coeffs as reduced (numerator, denominator) pairs."""
+        row, den = list(self.rows[r]), self.den
+        while row and not row[-1]:
+            row.pop()
+        return [(c // g, den // g) for c, g in zip(row, map(math.gcd, row, repeat(den)))]
+
+    def residue_strings(self, var: str = "q", descending: bool = False) -> list[str]:
+        """polys[r].to_string(var, descending) for every residue r."""
+        return _render_rows(self.rows, self.den, var, descending)
 
     def arg_shifted(self, e: int) -> Quasipolynomial:
         """The quasipolynomial m -> self(m - e)."""
-        s = self.period
-        return Quasipolynomial(
-            s, tuple(self.polys[(r - e) % s].taylor_shift(-e) for r in range(s))
-        )
+        s, polys = self.period, self.polys
+        return Quasipolynomial(s, tuple(polys[(r - e) % s].taylor_shift(-e) for r in range(s)))
 
 
 def reciprocal_series(den: Polynomial, count: int) -> list[int]:
@@ -89,35 +122,41 @@ def fit_quasipolynomial(
     class (samples `period` apart) needs 2*(degree+1) samples and is a
     polynomial of degree <= degree iff its forward differences of order
     degree+1 vanish, so the first sample off the fit raises ValidationFailure.
-    The leading differences give the Newton form, summed in int.
+    All residues are fitted at once, with differences at stride `period`
+    over the whole window and int rows over d!*period^d.
     """
     if period < 1 or degree < 0:
         raise InvalidArguments("need period >= 1 and degree >= 0")
     need = 2 * (degree + 1)
+    row, leads = list(values), []
+    for _ in range(degree + 1):
+        leads.append(row[:period])
+        row = list(map(sub, row[period:], row))
+    # a nonzero order-(degree+1) difference row[i] puts the sample at
+    # start_index + i + (degree+1)*period off the fit of its residue
+    if len(values) < need * period or any(row):
+        for r in range(period):
+            offset = (r - start_index) % period
+            count = len(range(offset, len(values), period))
+            if count < need:
+                raise InsufficientSamples(f"residue {r}: {count} samples, need {need}")
+            bad = next((i for i in range(offset, len(row), period) if row[i]), None)
+            if bad is not None:
+                raise ValidationFailure(
+                    f"residue {r} fit fails at m={start_index + bad + (degree + 1) * period}: "
+                    f"not quasipolynomial with period {period}, degree {degree}"
+                )
+    # cols[i][o]: coefficient of m^i at offset o, by Horner over the Newton form
+    # sum_j leads[j][o] / (j! period^j) * prod_{t<j} (m - start_index - o - t*period)
     scale = math.factorial(degree) * period**degree
-    polys = []
-    for r in range(period):
-        m0 = start_index + (r - start_index) % period
-        row = list(values[m0 - start_index :: period])
-        if len(row) < need:
-            raise InsufficientSamples(f"residue {r}: {len(row)} samples, need {need}")
-        acc, basis = [0] * (degree + 1), [1]
-        for j in range(degree + 1):
-            # add row[0] / (j! period^j) * prod_{i<j} (m - m0 - i*period)
-            weight = row[0] * (scale // (math.factorial(j) * period**j))
-            for i, c in enumerate(basis):
-                acc[i] += weight * c
-            basis = [a - (m0 + j * period) * b for a, b in zip([0] + basis, basis + [0])]
-            row = [b - a for a, b in zip(row, row[1:])]
-        # a nonzero row[i] (order degree+1) means sample i+degree+1 is off the fit
-        bad = next((i for i, v in enumerate(row) if v), None)
-        if bad is not None:
-            raise ValidationFailure(
-                f"residue {r} fit fails at m={m0 + (bad + degree + 1) * period}: "
-                f"not quasipolynomial with period {period}, degree {degree}"
-            )
-        polys.append(Polynomial(Fraction(c, scale) for c in acc))
-    return Quasipolynomial(period, tuple(polys))
+    cols = []
+    for j in range(degree, -1, -1):
+        nodes = range(start_index + j * period, start_index + (j + 1) * period)
+        low = [scale // (math.factorial(j) * period**j) * c for c in leads[j]]
+        cols = [[a - x * b for a, x, b in zip(lower, nodes, col)]
+                for lower, col in zip([low] + cols, cols)] + (cols[-1:] or [low])
+    rows, turn = tuple(zip(*cols)), -start_index % period  # offset of residue 0
+    return Quasipolynomial._from_rows(period, rows[turn:] + rows[:turn], scale)
 
 
 def _divide_by_parts(series: list[int], k: int) -> list[int]:
@@ -187,14 +226,12 @@ def coefficient_via_recursion(n: int, k: int, m: int) -> int:
     if m < 0 or m > n * k:
         raise IndexOutOfRange(f"m={m} outside [0, {n * k}]")
     base = initial_quasipolynomial(k)
-    total = Fraction(0)
-    for term in numerator_expansion(k):
-        e = term.exponent(n)
-        if e <= m:
-            total += term.sign * term.multiplicity * base.evaluate(m - e)
-    if total.denominator != 1:
+    total = sum(t.sign * t.multiplicity * base._numerator(m - t.exponent(n))
+                for t in numerator_expansion(k) if t.exponent(n) <= m)
+    value, rest = divmod(total, base.den)
+    if rest:
         raise ArithmeticError("recursion produced a non-integer coefficient")
-    return total.numerator
+    return value
 
 
 class Region(NamedTuple):
@@ -264,8 +301,9 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
         # and by reciprocity the base quasipolynomial F vanishes at -1..1-T and
         # F(-T) = +-1, with T = k(k+1)/2
         valid_from = left - k * (k + 1) // 2 + 1 if r else 0
-        below = valid_from and formula.evaluate(valid_from - 1) == true_coeffs[valid_from - 1]
-        if below or formula.evaluate(valid_from) != true_coeffs[valid_from]:
+        num, den = formula._numerator, formula.den
+        below = valid_from and num(valid_from - 1) == den * true_coeffs[valid_from - 1]
+        if below or num(valid_from) != den * true_coeffs[valid_from]:
             raise ArithmeticError(f"region {r} formula does not start matching at m={valid_from}")
         regions.append(Region(r, left, right, valid_from, formula))
 
@@ -278,10 +316,4 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
 def demo_quasipolynomial() -> Quasipolynomial:
     """A period-2 quasipolynomial whose branches visibly fail to mesh:
     10m on even arguments, (m^2 - m)/2 on odd ones."""
-    return Quasipolynomial(
-        2,
-        (
-            Polynomial((0, 10)),
-            Polynomial((0, Fraction(-1, 2), Fraction(1, 2))),
-        ),
-    )
+    return Quasipolynomial._from_rows(2, ((0, 20, 0), (0, -1, 1)), 2)

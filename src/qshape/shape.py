@@ -19,15 +19,7 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidArguments, OutOfDomain
-from .exactnum import Polynomial, Scalar, _Frozen
-
-
-def _integer_rows(polys) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Coefficient rows of one length, as integers over one common denominator."""
-    width = max([len(p.coeffs) for p in polys] + [1])
-    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    padded = (p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys)
-    return tuple(tuple(c.numerator * den // c.denominator for c in row) for row in padded), den
+from .exactnum import Polynomial, Scalar, _Frozen, _integer_rows
 
 
 class PiecewisePolynomial(_Frozen):

@@ -253,13 +253,13 @@ class TestStartup:
 
     @pytest.mark.parametrize("argv, absent", [
         (["qbinom", "--n", "3", "--k", "2"],
-         ["dataclasses", "json", "qshape.measure", "qshape.quasi", "qshape.shape",
-          "qshape.svgplot"]),
+         ["dataclasses", "fractions", "json", "qshape.measure", "qshape.quasi",
+          "qshape.shape", "qshape.svgplot"]),
         (["shape", "--k", "3"], ["qshape.measure", "qshape.qcore", "qshape.quasi",
                                  "qshape.svgplot"]),
         (["converge", "--k", "3", "--n-list", "5"], ["json", "qshape.quasi", "qshape.svgplot"]),
-        (["regions", "--n", "24", "--k", "4"], ["json", "qshape.measure", "qshape.shape",
-                                                "qshape.svgplot"]),
+        (["regions", "--n", "24", "--k", "4"], ["fractions", "json", "qshape.measure",
+                                                "qshape.shape", "qshape.svgplot"]),
     ])
     def test_command_loads_only_its_modules(self, argv, absent):
         probe = (

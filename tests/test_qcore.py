@@ -256,9 +256,14 @@ def product_fingerprint(n, k, r):
 
 
 class TestLargeCertificates:
-    """O(nk) certificates for sizes far beyond the oracles' reach."""
+    """O(nk) certificates for sizes far beyond the oracles' reach.
 
-    SIZES = [(10000, 8), (4999, 7), (8, 10000), (5000, 3), (1200, 2), (10000, 1), (0, 10000)]
+    The engine computes the lower half of the coefficients and mirrors it, so
+    symmetry holds by construction; the q = 1, q = -1 and mod 2^61 - 1
+    checks cover the mirrored half."""
+
+    SIZES = [(10000, 8), (4999, 7), (8, 10000), (5000, 3), (1200, 2), (10000, 1), (0, 10000),
+             (1000, 50)]
 
     @pytest.fixture(scope="class")
     def polys(self):

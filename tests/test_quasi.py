@@ -96,11 +96,93 @@ class TestFit:
         with pytest.raises(ValidationFailure, match=r"residue 1 fit fails at m=9:"):
             fit_quasipolynomial(values, 0, 2, 2)
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_per_residue_oracle(self, data):
+        period = data.draw(st.integers(1, 8), label="period")
+        degree = data.draw(st.integers(0, 4), label="degree")
+        start = data.draw(st.integers(-30, 60), label="start")
+        # integer-valued residue polynomials sum_i a_i binom(m, i); one
+        # window in four falls short of 2*(degree+1) samples for some class
+        coeffs = data.draw(st.lists(
+            st.lists(st.integers(-50, 50), min_size=degree + 1, max_size=degree + 1),
+            min_size=period, max_size=period), label="coeffs")
+        need = 2 * (degree + 1) * period
+        short = data.draw(st.integers(0, 3), label="short") == 3
+        length = data.draw(
+            st.integers(0, need - 1) if short else st.integers(need, need + 3 * period),
+            label="length")
+        values = [
+            sum(a * generalized_binomial(m, i) for i, a in enumerate(coeffs[m % period]))
+            for m in range(start, start + length)
+        ]
+        for i, bump in data.draw(st.lists(
+                st.tuples(st.integers(0, max(length - 1, 0)), st.integers(-3, 3)),
+                max_size=2), label="outliers"):
+            if i < length:
+                values[i] += bump
+        try:
+            expected = fit_per_residue(values, start, period, degree)
+        except (InsufficientSamples, ValidationFailure) as exc:
+            with pytest.raises(type(exc)) as got:
+                fit_quasipolynomial(values, start, period, degree)
+            assert str(got.value) == str(exc)
+            return
+        q = fit_quasipolynomial(values, start, period, degree)
+        polys = q.polys
+        assert polys == expected.polys
+        assert Quasipolynomial(period, polys) == q == expected
+        assert q.degree == max(p.degree for p in polys)
+        for m in range(start - 2 * period, start + length + 2 * period):
+            assert q.evaluate(m) == polys[m % period].evaluate(m)
+        # the integer rows render as the Fraction polynomials do
+        assert q.residue_strings("m", True) == [p.to_string("m", True) for p in polys]
+        assert [q.ratios(r) for r in range(period)] == [
+            [(c.numerator, c.denominator) for c in p.coeffs] for p in polys]
+
     def test_alternating_period_two(self):
         values = [m if m % 2 else 3 * m for m in range(12)]
         q = fit_quasipolynomial(values, 0, 2, 1)
         assert q.polys[0] == Polynomial((0, 3))
         assert q.polys[1] == Polynomial((0, 1))
+
+
+def fit_per_residue(values, start_index, period, degree):
+    """Oracle fit, one residue class at a time: a forward-difference table of
+    the class's samples, checked to order degree+1 and converted from Newton
+    form into one Fraction polynomial per residue."""
+    if period < 1 or degree < 0:
+        raise InvalidArguments("need period >= 1 and degree >= 0")
+    need = 2 * (degree + 1)
+    scale = math.factorial(degree) * period**degree
+    polys = []
+    for r in range(period):
+        m0 = start_index + (r - start_index) % period
+        row = list(values[m0 - start_index :: period])
+        if len(row) < need:
+            raise InsufficientSamples(f"residue {r}: {len(row)} samples, need {need}")
+        acc, basis = [0] * (degree + 1), [1]
+        for j in range(degree + 1):
+            # add row[0] / (j! period^j) * prod_{i<j} (m - m0 - i*period)
+            weight = row[0] * (scale // (math.factorial(j) * period**j))
+            for i, c in enumerate(basis):
+                acc[i] += weight * c
+            basis = [a - (m0 + j * period) * b for a, b in zip([0] + basis, basis + [0])]
+            row = [b - a for a, b in zip(row, row[1:])]
+        # a nonzero row[i] (order degree+1) means sample i+degree+1 is off the fit
+        bad = next((i for i, v in enumerate(row) if v), None)
+        if bad is not None:
+            raise ValidationFailure(
+                f"residue {r} fit fails at m={m0 + (bad + degree + 1) * period}: "
+                f"not quasipolynomial with period {period}, degree {degree}"
+            )
+        polys.append(Polynomial(Fraction(c, scale) for c in acc))
+    return Quasipolynomial(period, tuple(polys))
+
+
+def generalized_binomial(m, i):
+    """m(m-1)...(m-i+1) / i!, an integer for every integer m."""
+    return math.prod(range(m - i + 1, m + 1)) // math.factorial(i)
 
 
 def vandermonde_fit(values, period, degree):
@@ -368,6 +450,14 @@ class TestRegionDecomposition:
         monkeypatch.setattr(quasi, "fit_quasipolynomial", perturbed_fit(close_gap))
         with pytest.raises(ArithmeticError, match=rf"region 1 .* at m={region.valid_from}"):
             region_decomposition(n, k)
+
+    def test_large_formulas_match_coefficients(self):
+        # every formula of (2520, 8), on all of [valid_from, right]
+        true = q_binomial_box(2520, 8).coeffs
+        for region in region_decomposition(2520, 8).regions:
+            f = region.formula
+            span = range(region.valid_from, region.right + 1)
+            assert all(f.evaluate(m) == true[m] for m in span)
 
     def test_right_endpoints_below_next_block(self):
         decomp = region_decomposition(50, 4)
