@@ -8,6 +8,7 @@ included, are byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -41,8 +42,10 @@ def _n_list(text: str) -> list[int]:
     return values
 
 
-def _rat(x) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _ratio(a: int, b: int) -> str:
+    """a/b (b > 0) in lowest terms, as an integer when b divides a."""
+    g = math.gcd(a, b)
+    return str(a // g) if g == b else f"{a // g}/{b // g}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -122,6 +125,7 @@ def cmd_qbinom(args) -> int:
 
 
 def cmd_regions(args) -> int:
+    from .exactnum import _reduce_rows
     from .quasi import region_decomposition
 
     decomp = region_decomposition(args.n, args.k)
@@ -168,10 +172,10 @@ def cmd_regions(args) -> int:
                     "valid_from": region.valid_from,
                     "period": region.formula.period,
                     "degree": region.formula.degree,
-                    "residue_polynomials": [
-                        [str(a) if b == 1 else f"{a}/{b}" for a, b in region.formula.ratios(r)]
-                        for r in range(region.formula.period)
-                    ],
+                    "residue_polynomials": _reduce_rows(
+                        region.formula.rows, region.formula.den,
+                        lambda a, b: str(a) if b == 1 else f"{a}/{b}",
+                    ),
                 }
                 for region in decomp.regions
             ],
@@ -186,22 +190,21 @@ def cmd_regions(args) -> int:
 
 
 def cmd_shape(args) -> int:
-    from fractions import Fraction
-
+    from .exactnum import _render_rows
     from .shape import limit_shape
 
-    curve = limit_shape(args.k)
+    curve, k = limit_shape(args.k), args.k
     out = sys.stdout
     if args.samples is None or args.exact:
-        for i, piece in enumerate(curve.pieces):
-            interval = f"[{_rat(Fraction(i, args.k))}, {_rat(Fraction(i + 1, args.k))}]"
-            out.write(f"piece {i} on {interval}: {piece.to_string('x', descending=True)}\n")
+        for i, text in enumerate(_render_rows(*curve._density, "x", True)):
+            out.write(f"piece {i} on [{_ratio(i, k)}, {_ratio(i + 1, k)}]: {text}\n")
     else:
-        count = args.samples
+        # L_k at j/d for j = 0..d: integer numerators over one denominator
+        d = args.samples - 1
+        values, den = curve._grid(curve._density, d)
+        b = max(d, 1)
         out.write("x,value\n")
-        for j in range(count):
-            x = Fraction(j, count - 1) if count > 1 else Fraction(0)
-            out.write(f"{_rat(x)},{_rat(curve.evaluate(x))}\n")
+        out.writelines(f"{_ratio(j, b)},{_ratio(v, den)}\n" for j, v in enumerate(values))
     return 0
 
 
@@ -217,11 +220,11 @@ def cmd_converge(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    from fractions import Fraction
-
     from .svgplot import PlotSpec, region_fills, render_svg
 
     if args.demo:
+        from fractions import Fraction
+
         from .quasi import demo_quasipolynomial
 
         f = demo_quasipolynomial()
@@ -248,17 +251,18 @@ def cmd_plot(args) -> int:
             coeffs = q_binomial_box(args.n, args.k).coeffs
         overlay = None
         if args.overlay:
+            from fractions import Fraction
+
             from .shape import limit_shape
 
             curve = limit_shape(args.k)
-            total = sum(coeffs)
-            bars = len(coeffs)
             # curve in bar-value units: L(x) * total / bars  (see --help)
             samples = 512
-            points = [Fraction(j, samples) for j in range(samples + 1)]
+            values, den = curve._grid(curve._density, samples)
+            den *= len(coeffs)
+            total = sum(coeffs)
             overlay = tuple(
-                (u, Fraction(y.numerator * total, y.denominator * bars))
-                for u, y in zip(points, map(curve.evaluate, points))
+                (Fraction(j, samples), Fraction(v * total, den)) for j, v in enumerate(values)
             )
         spec = PlotSpec(
             bar_heights=coeffs,

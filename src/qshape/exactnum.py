@@ -245,6 +245,27 @@ def _render_rows(rows: Sequence, den: int, var: str = "q", descending: bool = Fa
     return ["-" + t[3:] if t[1:2] == "-" else t[3:] or "0" for t in map("".join, zip(*cols))]
 
 
+def _reduce_rows(rows: Sequence, den: int, form) -> list[list]:
+    """Each row's coefficients row[i]/den as form(numerator, denominator) in
+    lowest terms, trailing zeros dropped: Quasipolynomial.ratios for every
+    residue at once.  As in _render_rows, each distinct value of a column is
+    reduced and formed once."""
+    cols = []
+    for col in zip(*rows):
+        done = {}
+        for c in set(col):
+            g = math.gcd(c, den)
+            done[c] = form(c // g, den // g)
+        cols.append(map(done.__getitem__, col))
+    out = []
+    for row, values in zip(rows, zip(*cols)):
+        width = len(row)
+        while width and not row[width - 1]:
+            width -= 1
+        out.append(list(values[:width]))
+    return out
+
+
 def solve_linear_rational(
     matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
 ) -> list[Fraction]:

@@ -9,13 +9,15 @@ continuous CDF is attained) and only then rounded to a float.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
 from .exactnum import Polynomial
 from .qcore import q_binomial_box
 from .shape import PiecewisePolynomial, limit_shape
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class EmpiricalMeasure(NamedTuple):
@@ -32,6 +34,8 @@ class EmpiricalMeasure(NamedTuple):
     @property
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """(location, mass) pairs, exact; the masses sum to 1."""
+        from fractions import Fraction
+
         d = self.source_degree or 1
         return tuple((Fraction(i, d), Fraction(c, self.total)) for i, c in enumerate(self.coeffs))
 
@@ -58,16 +62,17 @@ def ks_distance(em: EmpiricalMeasure, shape: PiecewisePolynomial) -> float:
     step function, so the supremum of their difference is attained at an
     atom, approached either at the atom or from its left.  One sweep compares
     both candidates exactly, as integer numerators over the common
-    denominator total * den; only the final maximum becomes a float.
+    denominator total * den; only the final maximum becomes a float, by int
+    true division, which rounds correctly.
     """
-    targets, den = shape._cdf_grid(em.source_degree)
+    targets, den = shape._grid(shape._cdf, em.source_degree)
     best = cumulative = 0
     for c, target in zip(em.coeffs, targets):
         target *= em.total
         below = abs(cumulative - target)
         cumulative += c * den
         best = max(best, below, abs(cumulative - target))
-    return float(Fraction(best, em.total * den))
+    return best / (em.total * den)
 
 
 class ConvergenceRow(NamedTuple):

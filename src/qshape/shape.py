@@ -16,51 +16,89 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import InvalidArguments, OutOfDomain
 from .exactnum import Polynomial, Scalar, _Frozen, _integer_rows
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+def _horner(row, a: int, b: int) -> int:
+    """b^deg times the polynomial sum_m row[m] x^m at x = a/b, by homogeneous
+    Horner: sum of row[m] a^m b^(deg-m), deg = len(row) - 1."""
+    acc, power = 0, 1
+    for c in reversed(row):
+        acc = acc * a + c * power
+        power *= b
+    return acc
+
+
+def _reduced(rows, den: int):
+    """rows/den in lowest terms: the common gcd divided out and all-zero top
+    columns dropped (one column stays), as _integer_rows gives them."""
+    width = len(rows[0])
+    while width > 1 and not any(row[width - 1] for row in rows):
+        width -= 1
+    g = math.gcd(den, *(c for row in rows for c in row))
+    return tuple(tuple(c // g for c in row[:width]) for row in rows), den // g
 
 
 class PiecewisePolynomial(_Frozen):
     """Continuous piecewise polynomial on [0,1]; piece i governs [i/k, (i+1)/k].
 
-    Construction precomputes integer rows over one denominator for the
-    pieces and for the CDF (each piece's antiderivative plus the prefix sum
-    of the earlier pieces' integrals); evaluation is integer arithmetic.
-    Equality, hash and repr use k and pieces only.
+    Stores integer rows over one denominator for the pieces and for the CDF
+    (each piece's antiderivative plus the prefix sum of the earlier pieces'
+    integrals), both computed in integers; evaluation is integer arithmetic
+    and the pieces are derived on access.  Equality, hash, repr and
+    pickling use k and pieces.
     """
 
-    __slots__ = ("k", "pieces", "_density", "_cdf")
+    __slots__ = ("k", "_density", "_cdf")
     _fields = ("k", "pieces")
 
-    def __init__(self, k: int, pieces: tuple[Polynomial, ...]):
-        cdf_pieces, below = [], Fraction(0)
-        for i, piece in enumerate(pieces):
-            anti = piece.antiderivative()
-            left = anti.evaluate(Fraction(i, k))
-            cdf_pieces.append(anti + (below - left))
-            below += anti.evaluate(Fraction(i + 1, k)) - left
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "_density", _integer_rows(pieces))
-        object.__setattr__(self, "_cdf", _integer_rows(cdf_pieces))
+    def __new__(cls, k: int, pieces: tuple[Polynomial, ...]):
+        if k < 1 or len(pieces) != k:
+            raise InvalidArguments("need exactly one piece per interval [i/k, (i+1)/k]")
+        return cls._from_rows(k, *_integer_rows(pieces))
 
-    def _numerator(self, rows, a: int, b: int) -> int:
-        """b^deg times the governing row at a/b (0 <= a <= b), by homogeneous
-        Horner: sum of c_m a^m b^(deg-m)."""
-        acc, power = 0, 1
-        for c in reversed(rows[min(self.k * a // b, self.k - 1)]):
-            acc = acc * a + c * power
-            power *= b
-        return acc
+    @classmethod
+    def _from_rows(cls, k: int, rows, den: int) -> PiecewisePolynomial:
+        """Piece i is sum_m rows[i][m]/den x^m.  Row i's antiderivative goes
+        over den*lcm(1..w) (w the row length) and each breakpoint constant
+        is homogeneous Horner at i/k, so the CDF rows lie over
+        den*lcm(1..w)*k^w."""
+        width = len(rows[0])
+        scale, kw = math.lcm(*range(1, width + 1)), k ** width
+        cdf, below = [], 0
+        for i, row in enumerate(rows):
+            anti = (0,) + tuple(c * (scale // (m + 1)) for m, c in enumerate(row))
+            left = _horner(anti, i, k)
+            cdf.append((below - left,) + tuple(c * kw for c in anti[1:]))
+            below += _horner(anti, i + 1, k) - left
+        self = object.__new__(cls)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "_density", _reduced(rows, den))
+        object.__setattr__(self, "_cdf", _reduced(cdf, den * scale * kw))
+        return self
+
+    @property
+    def pieces(self) -> tuple[Polynomial, ...]:
+        from fractions import Fraction
+
+        rows, den = self._density
+        return tuple(Polynomial(Fraction(c, den) for c in row) for row in rows)
 
     def _at(self, table, x: Scalar) -> Fraction:
+        from fractions import Fraction
+
         rows, den = table
         a, b = x.as_integer_ratio()
         if a < 0 or a > b:
             raise OutOfDomain(f"x={Fraction(a, b)} outside [0, 1]")
-        return Fraction(self._numerator(rows, a, b), den * b ** (len(rows[0]) - 1))
+        row = rows[min(self.k * a // b, self.k - 1)]
+        return Fraction(_horner(row, a, b), den * b ** (len(row) - 1))
 
     def evaluate(self, x: Scalar) -> Fraction:
         """Exact value at x; at a breakpoint both pieces agree."""
@@ -70,13 +108,13 @@ class PiecewisePolynomial(_Frozen):
         """Exact integral from 0 to x."""
         return self._at(self._cdf, x)
 
-    def _cdf_grid(self, d: int) -> tuple[list[int], int]:
-        """The CDF at j/d for j = 0..d (at 0 alone when d = 0), as integer
-        numerators over one common denominator.
+    def _grid(self, table, d: int) -> tuple[list[int], int]:
+        """The table (_density or _cdf) at j/d for j = 0..d (at 0 alone when
+        d = 0), as integer numerators over one common denominator.
 
         Each row is scaled once to c_m b^(deg-m) (b = max(d, 1)), so every
         grid point is plain Horner in j."""
-        (rows, den), b = self._cdf, max(d, 1)
+        (rows, den), b = table, max(d, 1)
         deg = len(rows[0]) - 1
         values = []
         for i in range(self.k):
@@ -96,17 +134,21 @@ def limit_shape(k: int) -> PiecewisePolynomial:
     """The limit density L_k(x) = k * IH_k(k*x) with exact rational pieces."""
     if k < 1:
         raise InvalidArguments("needs k >= 1")
-    scale = Fraction(k, math.factorial(k - 1))
-    pieces, piece = [], Polynomial.zero()
+    # piece i is k/(k-1)! * sum_{j<=i} (-1)^j C(k,j) (k*x - j)^(k-1), and the
+    # x^m coefficient of (k*x - j)^(k-1) is C(k-1,m) k^m (-j)^(k-1-m)
+    column = [math.comb(k - 1, m) * k ** (m + 1) for m in range(k)]
+    rows, row = [], [0] * k
     for j in range(k):
-        # piece j adds (-1)^j C(k,j) (k*x - j)^(k-1), expanded over the integers
-        piece = piece + Polynomial((-j, k)) ** (k - 1) * ((-1) ** j * math.comb(k, j))
-        pieces.append(piece * scale)
-    return PiecewisePolynomial(k, tuple(pieces))
+        sign = (-1) ** j * math.comb(k, j)
+        row = [c + sign * f * (-j) ** (k - 1 - m) for m, (c, f) in enumerate(zip(row, column))]
+        rows.append(tuple(row))
+    return PiecewisePolynomial._from_rows(k, tuple(rows), math.factorial(k - 1))
 
 
 def irwin_hall_density(k: int, t: Scalar) -> Fraction:
     """Exact density of a sum of k independent uniforms on [0,1], at t in [0,k]."""
+    from fractions import Fraction
+
     t = Fraction(t)
     if t < 0 or t > k:
         raise OutOfDomain(f"t={t} outside [0, {k}]")

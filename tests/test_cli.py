@@ -186,6 +186,31 @@ class TestShape:
         code, out = run(capsys, "shape", "--k", "1", "--samples", "3")
         assert out == "x,value\n0,1\n1/2,1\n1,1\n"
 
+    @pytest.mark.parametrize("samples", [1, 2, 3, 101, 1000])
+    def test_samples_match_fraction_oracle(self, capsys, samples):
+        # the integer grid prints what Fraction evaluation at j/(S-1) prints
+        def rat(x):
+            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+        xs = [Fraction(j, max(samples - 1, 1)) for j in range(samples)]
+        for k in range(1, 11):
+            curve = limit_shape(k)
+            code, out = run(capsys, "shape", "--k", str(k), "--samples", str(samples))
+            assert code == 0
+            assert out.splitlines() == ["x,value"] + [
+                f"{rat(x)},{rat(curve.evaluate(x))}" for x in xs
+            ]
+
+    def test_exact_matches_piece_strings(self, capsys):
+        for k in range(1, 11):
+            code, out = run(capsys, "shape", "--k", str(k), "--exact")
+            assert code == 0
+            assert out.splitlines() == [
+                f"piece {i} on [{Fraction(i, k)}, {Fraction(i + 1, k)}]: "
+                f"{piece.to_string('x', descending=True)}"
+                for i, piece in enumerate(limit_shape(k).pieces)
+            ]
+
 
 class TestConverge:
     def test_strictly_decreasing(self, capsys):
@@ -255,13 +280,21 @@ class TestStartup:
         (["qbinom", "--n", "3", "--k", "2"],
          ["dataclasses", "fractions", "json", "qshape.measure", "qshape.quasi",
           "qshape.shape", "qshape.svgplot"]),
-        (["shape", "--k", "3"], ["qshape.measure", "qshape.qcore", "qshape.quasi",
-                                 "qshape.svgplot"]),
-        (["converge", "--k", "3", "--n-list", "5"], ["json", "qshape.quasi", "qshape.svgplot"]),
+        (["shape", "--k", "3"], ["fractions", "qshape.measure", "qshape.qcore",
+                                 "qshape.quasi", "qshape.svgplot"]),
+        (["converge", "--k", "3", "--n-list", "5"], ["fractions", "json", "qshape.quasi",
+                                                     "qshape.svgplot"]),
         (["regions", "--n", "24", "--k", "4"], ["fractions", "json", "qshape.measure",
                                                 "qshape.shape", "qshape.svgplot"]),
+        (["shape", "--k", "3", "--samples", "5"], ["fractions", "qshape.measure",
+                                                   "qshape.qcore", "qshape.svgplot"]),
+        (["plot", "--n", "24", "--k", "4", "--color-regions", "--out", "OUT"],
+         ["fractions", "html", "qshape.measure", "qshape.shape"]),
+        (["plot", "--n", "24", "--k", "4", "--out", "OUT"],
+         ["fractions", "html", "qshape.measure", "qshape.quasi", "qshape.shape"]),
     ])
-    def test_command_loads_only_its_modules(self, argv, absent):
+    def test_command_loads_only_its_modules(self, argv, absent, tmp_path):
+        argv = [str(tmp_path / "p.svg") if a == "OUT" else a for a in argv]
         probe = (
             "import contextlib, io, sys; from qshape.cli import main\n"
             f"with contextlib.redirect_stdout(io.StringIO()): code = main({argv!r})\n"

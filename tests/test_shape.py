@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshape.errors import OutOfDomain
-from qshape.exactnum import Polynomial
+from qshape.errors import InvalidArguments, OutOfDomain
+from qshape.exactnum import Polynomial, _integer_rows
 from qshape.shape import (
     PiecewisePolynomial,
     cube_slice_volume,
@@ -63,6 +63,26 @@ def cdf_oracle(shape, x):
     return total + anti.evaluate(x) - anti.evaluate(Fraction(i, shape.k))
 
 
+def random_shape(data, k):
+    """A PiecewisePolynomial on k random pieces: unequal degrees, zero pieces,
+    integer or rational coefficients."""
+    coefficient = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+    return PiecewisePolynomial(k, tuple(
+        Polynomial(data.draw(st.lists(coefficient, max_size=7), label=f"piece {i}"))
+        for i in range(k)
+    ))
+
+
+def power_sum_pieces(k):
+    """Oracle: L_k's pieces as Fraction polynomials, k/(k-1)! times the
+    prefix sums of (-1)^j C(k,j) (k x - j)^(k-1) by polynomial powers."""
+    pieces, piece = [], Polynomial.zero()
+    for j in range(k):
+        piece = piece + Polynomial((-j, k)) ** (k - 1) * ((-1) ** j * math.comb(k, j))
+        pieces.append(piece * Fraction(k, math.factorial(k - 1)))
+    return tuple(pieces)
+
+
 class TestLimitShapePieces:
     def test_k3_printed_pieces(self):
         shape = limit_shape(3)
@@ -78,6 +98,16 @@ class TestLimitShapePieces:
         shape = limit_shape(2)
         assert shape.pieces[0] == Polynomial((0, 4))
         assert shape.pieces[1] == Polynomial((4, -4))
+
+    def test_piece_count_must_match_k(self):
+        with pytest.raises(InvalidArguments):
+            PiecewisePolynomial(2, ())
+        with pytest.raises(InvalidArguments):
+            PiecewisePolynomial(3, (Polynomial.one(),))
+
+    def test_matches_power_sum_oracle(self):
+        for k in range(1, 16):
+            assert limit_shape(k).pieces == power_sum_pieces(k)
 
     def test_matches_symbolic_convolution_oracle(self):
         # L_k(x) must equal k * IH_k(k x) piece by piece
@@ -144,12 +174,7 @@ class TestIntegerKernel:
     def test_random_pieces_match_fraction_oracles(self, data):
         # pieces of unequal degrees, zero pieces, integer or rational coefficients
         k = data.draw(st.integers(1, 5), label="k")
-        coefficient = st.fractions(min_value=-100, max_value=100, max_denominator=50)
-        pieces = tuple(
-            Polynomial(data.draw(st.lists(coefficient, max_size=7), label=f"piece {i}"))
-            for i in range(k)
-        )
-        shape = PiecewisePolynomial(k, pieces)
+        shape = random_shape(data, k)
         for x in data.draw(st.lists(self.rationals, min_size=1, max_size=5), label="xs"):
             assert shape.evaluate(x) == evaluate_oracle(shape, x)
             assert shape.cdf(x) == cdf_oracle(shape, x)
@@ -163,16 +188,49 @@ class TestIntegerKernel:
         if data.draw(st.booleans(), label="limit shape"):
             shape = limit_shape(k)
         else:
-            coefficient = st.fractions(min_value=-100, max_value=100, max_denominator=50)
-            shape = PiecewisePolynomial(k, tuple(
-                Polynomial(data.draw(st.lists(coefficient, max_size=7), label=f"piece {i}"))
-                for i in range(k)
-            ))
+            shape = random_shape(data, k)
         d = data.draw(st.integers(0, 300), label="d")
-        values, den = shape._cdf_grid(d)
+        values, den = shape._grid(shape._cdf, d)
         rows, row_den = shape._cdf
         assert den == row_den * max(d, 1) ** (len(rows[0]) - 1)
         assert values == [shape.cdf(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_density_grid_matches_evaluate(self, data):
+        # the sample grid of shape --samples and plot --overlay against
+        # evaluate at every j/d, for L_k and for random pieces of unequal degrees
+        k = data.draw(st.integers(1, 10), label="k")
+        if data.draw(st.booleans(), label="limit shape"):
+            shape = limit_shape(k)
+            rebuilt = PiecewisePolynomial(k, shape.pieces)
+            assert rebuilt._density == shape._density and rebuilt._cdf == shape._cdf
+        else:
+            shape = random_shape(data, min(k, 5))
+        d = data.draw(st.integers(0, 300), label="d")
+        values, den = shape._grid(shape._density, d)
+        rows, row_den = shape._density
+        assert den == row_den * max(d, 1) ** (len(rows[0]) - 1)
+        assert values == [shape.evaluate(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_tables_match_fraction_construction(self, data):
+        # the integer tables equal _integer_rows of the Fraction pieces and of
+        # the Fraction CDF pieces (antiderivative plus the earlier integrals)
+        k = data.draw(st.integers(1, 10), label="k")
+        if data.draw(st.booleans(), label="limit shape"):
+            shape = limit_shape(k)
+        else:
+            shape = random_shape(data, min(k, 5))
+        cdf_pieces, below = [], Fraction(0)
+        for i, piece in enumerate(shape.pieces):
+            anti = piece.antiderivative()
+            left = anti.evaluate(Fraction(i, shape.k))
+            cdf_pieces.append(anti + (below - left))
+            below += anti.evaluate(Fraction(i + 1, shape.k)) - left
+        assert shape._density == _integer_rows(shape.pieces)
+        assert shape._cdf == _integer_rows(cdf_pieces)
 
     def test_breakpoints_and_ends(self):
         for k in range(1, 9):
