@@ -125,7 +125,6 @@ def cmd_qbinom(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    from .exactnum import _reduce_rows
     from .quasi import region_decomposition
 
     decomp = region_decomposition(args.n, args.k)
@@ -172,10 +171,7 @@ def cmd_regions(args) -> int:
                     "valid_from": region.valid_from,
                     "period": region.formula.period,
                     "degree": region.formula.degree,
-                    "residue_polynomials": _reduce_rows(
-                        region.formula.rows, region.formula.den,
-                        lambda a, b: str(a) if b == 1 else f"{a}/{b}",
-                    ),
+                    "residue_polynomials": region.formula.residue_coefficients(_ratio),
                 }
                 for region in decomp.regions
             ],
@@ -202,9 +198,9 @@ def cmd_shape(args) -> int:
         # L_k at j/d for j = 0..d: integer numerators over one denominator
         d = args.samples - 1
         values, den = curve._grid(curve._density, d)
-        b = max(d, 1)
         out.write("x,value\n")
-        out.writelines(f"{_ratio(j, b)},{_ratio(v, den)}\n" for j, v in enumerate(values))
+        # d = 0 gives the one point x = 0, which prints as 0 over any d > 0
+        out.writelines(f"{_ratio(j, d or 1)},{_ratio(v, den)}\n" for j, v in enumerate(values))
     return 0
 
 

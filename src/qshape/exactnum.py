@@ -245,17 +245,13 @@ def _render_rows(rows: Sequence, den: int, var: str = "q", descending: bool = Fa
     return ["-" + t[3:] if t[1:2] == "-" else t[3:] or "0" for t in map("".join, zip(*cols))]
 
 
-def _reduce_rows(rows: Sequence, den: int, form) -> list[list]:
-    """Each row's coefficients row[i]/den as form(numerator, denominator) in
-    lowest terms, trailing zeros dropped: Quasipolynomial.ratios for every
-    residue at once.  As in _render_rows, each distinct value of a column is
-    reduced and formed once."""
+def _form_rows(rows: Sequence, den: int, form) -> list[list]:
+    """form(row[i], den) for the coefficients of each row, trailing zeros
+    dropped.  As in _render_rows, form is called once per distinct value of
+    a column."""
     cols = []
     for col in zip(*rows):
-        done = {}
-        for c in set(col):
-            g = math.gcd(c, den)
-            done[c] = form(c // g, den // g)
+        done = {c: form(c, den) for c in set(col)}
         cols.append(map(done.__getitem__, col))
     out = []
     for row, values in zip(rows, zip(*cols)):

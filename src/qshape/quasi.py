@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import sub
 from typing import NamedTuple, Sequence
 
@@ -30,7 +30,7 @@ from .errors import (
     NonUnitConstantTerm,
     ValidationFailure,
 )
-from .exactnum import Polynomial, Scalar, _Frozen, _integer_rows, _render_rows
+from .exactnum import Polynomial, Scalar, _Frozen, _form_rows, _integer_rows, _render_rows
 from .qcore import q_binomial, q_binomial_box
 
 
@@ -78,10 +78,13 @@ class Quasipolynomial(_Frozen):
 
     def ratios(self, r: int) -> list[tuple[int, int]]:
         """polys[r].coeffs as reduced (numerator, denominator) pairs."""
-        row, den = list(self.rows[r]), self.den
-        while row and not row[-1]:
-            row.pop()
-        return [(c // g, den // g) for c, g in zip(row, map(math.gcd, row, repeat(den)))]
+        return _form_rows(self.rows[r:r + 1], self.den, _lowest_terms)[0]
+
+    def residue_coefficients(self, form) -> list[list]:
+        """form(a, b) for each coefficient a/b (b > 0, not yet reduced) of
+        every residue polynomial, trailing zeros dropped; form is called once
+        per distinct value of a power."""
+        return _form_rows(self.rows, self.den, form)
 
     def residue_strings(self, var: str = "q", descending: bool = False) -> list[str]:
         """polys[r].to_string(var, descending) for every residue r."""
@@ -91,6 +94,11 @@ class Quasipolynomial(_Frozen):
         """The quasipolynomial m -> self(m - e)."""
         s, polys = self.period, self.polys
         return Quasipolynomial(s, tuple(polys[(r - e) % s].taylor_shift(-e) for r in range(s)))
+
+
+def _lowest_terms(a: int, b: int) -> tuple[int, int]:
+    g = math.gcd(a, b)
+    return a // g, b // g
 
 
 def reciprocal_series(den: Polynomial, count: int) -> list[int]:

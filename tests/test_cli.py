@@ -136,11 +136,17 @@ class TestRegions:
         assert values == [truth.coefficient(m) for m in (51, 52, 53)]
 
     def test_json_structure(self, capsys):
+        from qshape.quasi import region_decomposition
+
         code, out = run(capsys, "regions", "--n", "40", "--k", "3", "--format", "json")
         doc = json.loads(out)
         assert [r["index"] for r in doc["regions"]] == [0, 1, 2]
         assert all(r["period"] == 6 for r in doc["regions"])
         assert len(doc["transition_zones"]) == 2
+        # coefficients print as the reduced Fractions of the residue polynomials
+        assert [r["residue_polynomials"] for r in doc["regions"]] == [
+            [[str(c) for c in p.coeffs] for p in region.formula.polys]
+            for region in region_decomposition(40, 3).regions]
 
 
 class TestComputeOnce:

@@ -13,7 +13,7 @@ from qshape.errors import (
     NonUnitConstantTerm,
     ValidationFailure,
 )
-from qshape.exactnum import Polynomial, _reduce_rows, solve_linear_rational
+from qshape.exactnum import Polynomial, solve_linear_rational
 from qshape.qcore import q_binomial_box
 from qshape.quasi import (
     Quasipolynomial,
@@ -137,9 +137,9 @@ class TestFit:
             assert q.evaluate(m) == polys[m % period].evaluate(m)
         # the integer rows render as the Fraction polynomials do
         assert q.residue_strings("m", True) == [p.to_string("m", True) for p in polys]
-        ratios = [[(c.numerator, c.denominator) for c in p.coeffs] for p in polys]
-        assert [q.ratios(r) for r in range(period)] == ratios
-        assert _reduce_rows(q.rows, q.den, lambda a, b: (a, b)) == ratios
+        assert [q.ratios(r) for r in range(period)] == [
+            [(c.numerator, c.denominator) for c in p.coeffs] for p in polys]
+        assert q.residue_coefficients(Fraction) == [list(p.coeffs) for p in polys]
 
     def test_alternating_period_two(self):
         values = [m if m % 2 else 3 * m for m in range(12)]
