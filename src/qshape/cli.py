@@ -8,7 +8,6 @@ included, are byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import __version__
@@ -34,18 +33,12 @@ def _positive(text: str) -> int:
 
 def _n_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [_nonneg(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad n list {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("n list is empty")
     return values
-
-
-def _ratio(a: int, b: int) -> str:
-    """a/b (b > 0) in lowest terms, as an integer when b divides a."""
-    g = math.gcd(a, b)
-    return str(a // g) if g == b else f"{a // g}/{b // g}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,6 +153,8 @@ def cmd_regions(args) -> int:
     else:
         import json
 
+        from .exactnum import _ratio
+
         doc = {
             "n": decomp.n,
             "k": decomp.k,
@@ -186,12 +181,12 @@ def cmd_regions(args) -> int:
 
 
 def cmd_shape(args) -> int:
-    from .exactnum import _render_rows
+    from .exactnum import _ratio, _render_rows
     from .shape import limit_shape
 
     curve, k = limit_shape(args.k), args.k
     out = sys.stdout
-    if args.samples is None or args.exact:
+    if args.samples is None:
         for i, text in enumerate(_render_rows(*curve._density, "x", True)):
             out.write(f"piece {i} on [{_ratio(i, k)}, {_ratio(i + 1, k)}]: {text}\n")
     else:
@@ -219,12 +214,10 @@ def cmd_plot(args) -> int:
     from .svgplot import PlotSpec, region_fills, render_svg
 
     if args.demo:
-        from fractions import Fraction
-
         from .quasi import demo_quasipolynomial
 
         f = demo_quasipolynomial()
-        heights = tuple(Fraction(f.evaluate(m)) for m in range(41))
+        heights = tuple(f.evaluate(m) for m in range(41))
         spec = PlotSpec(
             bar_heights=heights,
             width_px=args.width,

@@ -23,10 +23,18 @@ Scalar = Union[int, "Fraction"]
 class _Frozen:
     """Immutable value object over the fields named in ``_fields``: equality,
     hash, repr and pickling use those fields, and assignment raises
-    AttributeError.  Subclasses set their slots once with object.__setattr__."""
+    AttributeError.  Subclasses set their slots once, in __init__ or _make."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _make(cls, *values):
+        """An instance whose __slots__ hold values, in order, bypassing __new__."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -224,21 +232,50 @@ def _integer_rows(polys: Sequence[Polynomial]) -> tuple[tuple[tuple[int, ...], .
     return tuple(tuple(c.numerator * den // c.denominator for c in row) for row in padded), den
 
 
+def _ratio(a: int, b: int) -> str:
+    """a/b (b > 0) in lowest terms, as an integer when b divides a."""
+    g = math.gcd(a, b)
+    return str(a // g) if g == b else f"{a // g}/{b // g}"
+
+
+def _horner(row: Sequence[int], a: int, b: int) -> int:
+    """b^deg times the polynomial sum_m row[m] x^m at x = a/b, by homogeneous
+    Horner: sum of row[m] a^m b^(deg-m), deg = len(row) - 1."""
+    acc, power = 0, 1
+    for c in reversed(row):
+        acc = acc * a + c * power
+        power *= b
+    return acc
+
+
+def _polys(rows: Sequence[Sequence[int]], den: int) -> tuple[Polynomial, ...]:
+    """The polynomials sum_i row[i]/den x^i, as reduced Fraction coefficients."""
+    from fractions import Fraction
+    return tuple(Polynomial(Fraction(c, den) for c in row) for row in rows)
+
+
+def _columns(rows: Sequence, term) -> list:
+    """Per power i, term(i, c) for the coefficients c of that power, row by
+    row; term is called once per distinct value of a column."""
+    cols = []
+    for i, col in enumerate(zip(*rows)):
+        done = {c: term(i, c) for c in set(col)}
+        cols.append(map(done.__getitem__, col))
+    return cols
+
+
 def _render_rows(rows: Sequence, den: int, var: str = "q", descending: bool = False) -> list[str]:
     """Polynomial.to_string of each polynomial sum_i row[i]/den * var^i, for
     rows of one length >= 1 over den > 0.  Each coefficient is reduced and
     formatted once per distinct value of its power: the residue polynomials
     of a quasipolynomial share most of their values."""
-    cols = []
-    for i, col in enumerate(zip(*rows)):
-        text = {}
-        for c in set(col):
-            g = math.gcd(c, den)
-            mag = f"{abs(c) // g}" if g == den else f"{abs(c) // g}/{den // g}"
-            if i:
-                mag = f"{'' if mag == '1' else mag + ' '}{var}{'' if i == 1 else f'^{i}'}"
-            text[c] = f" - {mag}" if c < 0 else f" + {mag}" if c else ""
-        cols.append(map(text.__getitem__, col))
+    def term(i, c):
+        mag = _ratio(abs(c), den)
+        if i:
+            mag = f"{'' if mag == '1' else mag + ' '}{var}{'' if i == 1 else f'^{i}'}"
+        return f" - {mag}" if c < 0 else f" + {mag}" if c else ""
+
+    cols = _columns(rows, term)
     if descending:
         cols.reverse()
     # every term starts " + " or " - ": drop the leading one's spaces and plus
@@ -249,12 +286,8 @@ def _form_rows(rows: Sequence, den: int, form) -> list[list]:
     """form(row[i], den) for the coefficients of each row, trailing zeros
     dropped.  As in _render_rows, form is called once per distinct value of
     a column."""
-    cols = []
-    for col in zip(*rows):
-        done = {c: form(c, den) for c in set(col)}
-        cols.append(map(done.__getitem__, col))
     out = []
-    for row, values in zip(rows, zip(*cols)):
+    for row, values in zip(rows, zip(*_columns(rows, lambda i, c: form(c, den)))):
         width = len(row)
         while width and not row[width - 1]:
             width -= 1

@@ -12,7 +12,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
-from .exactnum import Polynomial
+from .exactnum import Polynomial, _integer_rows
 from .qcore import q_binomial_box
 from .shape import PiecewisePolynomial, limit_shape
 
@@ -49,8 +49,7 @@ def measure_from_polynomial(p: Polynomial) -> EmpiricalMeasure:
         raise ZeroPolynomial("cannot normalize the zero polynomial")
     if any(c < 0 for c in p.coeffs):
         raise NegativeCoefficient("measure needs non-negative coefficients")
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    coeffs = [c.numerator * scale // c.denominator for c in p.coeffs]
+    (coeffs,), _ = _integer_rows([p])
     g = math.gcd(*coeffs)
     return EmpiricalMeasure(tuple(c // g for c in coeffs), sum(coeffs) // g)
 

@@ -30,7 +30,9 @@ from .errors import (
     NonUnitConstantTerm,
     ValidationFailure,
 )
-from .exactnum import Polynomial, Scalar, _Frozen, _form_rows, _integer_rows, _render_rows
+from .exactnum import (
+    Polynomial, Scalar, _Frozen, _form_rows, _horner, _integer_rows, _polys, _render_rows,
+)
 from .qcore import q_binomial, q_binomial_box
 
 
@@ -47,19 +49,11 @@ class Quasipolynomial(_Frozen):
     def __new__(cls, period: int, polys: tuple[Polynomial, ...]):
         if period < 1 or len(polys) != period:
             raise InvalidArguments("need exactly one polynomial per residue class")
-        return cls._from_rows(period, *_integer_rows(polys))
-
-    @classmethod
-    def _from_rows(cls, period: int, rows: tuple[tuple[int, ...], ...], den: int):
-        self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (period, rows, den)):
-            object.__setattr__(self, name, value)
-        return self
+        return cls._make(period, *_integer_rows(polys))
 
     @property
     def polys(self) -> tuple[Polynomial, ...]:
-        from fractions import Fraction
-        return tuple(Polynomial(Fraction(c, self.den) for c in row) for row in self.rows)
+        return _polys(self.rows, self.den)
 
     @property
     def degree(self) -> int:
@@ -67,18 +61,11 @@ class Quasipolynomial(_Frozen):
 
     def _numerator(self, m: int) -> int:
         """den times the value at m, by integer Horner."""
-        acc = 0
-        for c in reversed(self.rows[m % self.period]):
-            acc = acc * m + c
-        return acc
+        return _horner(self.rows[m % self.period], m, 1)
 
     def evaluate(self, m: int) -> Scalar:
         from fractions import Fraction
         return Fraction(self._numerator(m), self.den)
-
-    def ratios(self, r: int) -> list[tuple[int, int]]:
-        """polys[r].coeffs as reduced (numerator, denominator) pairs."""
-        return _form_rows(self.rows[r:r + 1], self.den, _lowest_terms)[0]
 
     def residue_coefficients(self, form) -> list[list]:
         """form(a, b) for each coefficient a/b (b > 0, not yet reduced) of
@@ -94,11 +81,6 @@ class Quasipolynomial(_Frozen):
         """The quasipolynomial m -> self(m - e)."""
         s, polys = self.period, self.polys
         return Quasipolynomial(s, tuple(polys[(r - e) % s].taylor_shift(-e) for r in range(s)))
-
-
-def _lowest_terms(a: int, b: int) -> tuple[int, int]:
-    g = math.gcd(a, b)
-    return a // g, b // g
 
 
 def reciprocal_series(den: Polynomial, count: int) -> list[int]:
@@ -164,7 +146,7 @@ def fit_quasipolynomial(
         cols = [[a - x * b for a, x, b in zip(lower, nodes, col)]
                 for lower, col in zip([low] + cols, cols)] + (cols[-1:] or [low])
     rows, turn = tuple(zip(*cols)), -start_index % period  # offset of residue 0
-    return Quasipolynomial._from_rows(period, rows[turn:] + rows[:turn], scale)
+    return Quasipolynomial._make(period, rows[turn:] + rows[:turn], scale)
 
 
 def _divide_by_parts(series: list[int], k: int) -> list[int]:
@@ -324,4 +306,4 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
 def demo_quasipolynomial() -> Quasipolynomial:
     """A period-2 quasipolynomial whose branches visibly fail to mesh:
     10m on even arguments, (m^2 - m)/2 on odd ones."""
-    return Quasipolynomial._from_rows(2, ((0, 20, 0), (0, -1, 1)), 2)
+    return Quasipolynomial._make(2, ((0, 20, 0), (0, -1, 1)), 2)

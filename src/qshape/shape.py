@@ -19,20 +19,10 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import InvalidArguments, OutOfDomain
-from .exactnum import Polynomial, Scalar, _Frozen, _integer_rows
+from .exactnum import Polynomial, Scalar, _Frozen, _horner, _integer_rows, _polys
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-def _horner(row, a: int, b: int) -> int:
-    """b^deg times the polynomial sum_m row[m] x^m at x = a/b, by homogeneous
-    Horner: sum of row[m] a^m b^(deg-m), deg = len(row) - 1."""
-    acc, power = 0, 1
-    for c in reversed(row):
-        acc = acc * a + c * power
-        power *= b
-    return acc
 
 
 def _reduced(rows, den: int):
@@ -77,18 +67,11 @@ class PiecewisePolynomial(_Frozen):
             left = _horner(anti, i, k)
             cdf.append((below - left,) + tuple(c * kw for c in anti[1:]))
             below += _horner(anti, i + 1, k) - left
-        self = object.__new__(cls)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_density", _reduced(rows, den))
-        object.__setattr__(self, "_cdf", _reduced(cdf, den * scale * kw))
-        return self
+        return cls._make(k, _reduced(rows, den), _reduced(cdf, den * scale * kw))
 
     @property
     def pieces(self) -> tuple[Polynomial, ...]:
-        from fractions import Fraction
-
-        rows, den = self._density
-        return tuple(Polynomial(Fraction(c, den) for c in row) for row in rows)
+        return _polys(*self._density)
 
     def _at(self, table, x: Scalar) -> Fraction:
         from fractions import Fraction

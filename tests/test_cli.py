@@ -237,6 +237,11 @@ class TestConverge:
         capsys.readouterr()
         assert code == 2
 
+    def test_negative_entry_is_usage_error(self, capsys):
+        code = main(["converge", "--k", "3", "--n-list=-2,4"])
+        assert code == 2
+        assert "argument --n-list" in capsys.readouterr().err
+
     def test_large_n(self, capsys):
         code, out = run(capsys, "converge", "--k", "4", "--n-list", "1000")
         assert code == 0

@@ -2,20 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qshape.errors import NonzeroRemainder, SingularSystem
-from qshape.exactnum import Polynomial, solve_linear_rational
+from qshape.exactnum import (
+    Polynomial, _horner, _integer_rows, _polys, _ratio, solve_linear_rational,
+)
 
 
 def P(*coeffs):
     return Polynomial(coeffs)
 
 
-def random_poly(rng, max_degree=6, span=5):
-    degree = rng.randint(-1, max_degree)
-    return Polynomial([rng.randint(-span, span) for _ in range(degree + 1)])
+scalars = st.one_of(st.integers(-20, 20),
+                    st.fractions(min_value=-20, max_value=20, max_denominator=12))
+polys = st.lists(scalars, max_size=5).map(Polynomial)
 
 
 class TestArithmetic:
@@ -72,26 +74,61 @@ class TestExactDiv:
         with pytest.raises(ZeroDivisionError):
             P(1).exact_div(Polynomial.zero())
 
-    def test_mul_then_div_roundtrip(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            a = random_poly(rng)
-            b = random_poly(rng)
-            if b.is_zero():
-                continue
-            assert (a * b).exact_div(b) == a
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(polys, polys.filter(bool))
+    def test_mul_then_div_roundtrip(self, a, b):
+        assert (a * b).exact_div(b) == a
 
 
 class TestRingAxioms:
-    def test_axioms_on_random_sample(self):
-        rng = random.Random(42)
-        for _ in range(100):
-            a, b, c = (random_poly(rng) for _ in range(3))
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
+    """The laws the oracle tests rely on, over int and Fraction coefficients."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(polys, polys, polys)
+    def test_axioms_on_random_sample(self, a, b, c):
+        assert a + b == b + a
+        assert a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(polys)
+    def test_self_difference_and_cube(self, p):
+        assert (p - p).is_zero()
+        assert p**3 == p * p * p
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(polys, scalars, scalars)
+    def test_taylor_shifts_compose(self, p, a, b):
+        assert p.taylor_shift(a).taylor_shift(b) == p.taylor_shift(a + b)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(polys, polys, scalars)
+    def test_evaluation_is_multiplicative(self, p, q, x):
+        assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
+
+
+class TestRowKernels:
+    """The integer-row helpers against Fraction arithmetic."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+    def test_ratio_is_reduced_fraction(self, a, b):
+        assert _ratio(a, b) == str(Fraction(a, b))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6),
+           st.integers(-50, 50), st.integers(1, 50))
+    def test_horner_is_scaled_evaluation(self, row, a, b):
+        expected = b ** (len(row) - 1) * Polynomial(row).evaluate(Fraction(a, b))
+        assert _horner(row, a, b) == expected
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(polys, min_size=1, max_size=4))
+    @example([Polynomial.zero()])
+    def test_polys_inverts_integer_rows(self, ps):
+        assert _polys(*_integer_rows(ps)) == tuple(ps)
 
 
 class TestEvaluateAndCalculus:

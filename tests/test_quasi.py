@@ -137,8 +137,6 @@ class TestFit:
             assert q.evaluate(m) == polys[m % period].evaluate(m)
         # the integer rows render as the Fraction polynomials do
         assert q.residue_strings("m", True) == [p.to_string("m", True) for p in polys]
-        assert [q.ratios(r) for r in range(period)] == [
-            [(c.numerator, c.denominator) for c in p.coeffs] for p in polys]
         assert q.residue_coefficients(Fraction) == [list(p.coeffs) for p in polys]
 
     def test_alternating_period_two(self):
