@@ -17,7 +17,6 @@ _EXPORTS = {
         "q_binomial_partition_dp",
         "q_binomial_pascal",
         "q_factorial",
-        "q_integer",
     ),
     "quasi": (
         "Quasipolynomial",

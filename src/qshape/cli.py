@@ -8,6 +8,7 @@ included, are byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -214,12 +215,15 @@ def cmd_plot(args) -> int:
     from .svgplot import PlotSpec, region_fills, render_svg
 
     if args.demo:
+        if args.overlay or args.color_regions:
+            flag = "--overlay" if args.overlay else "--color-regions"
+            raise InvalidArguments(f"plot --demo cannot be combined with {flag}")
         from .quasi import demo_quasipolynomial
 
         f = demo_quasipolynomial()
-        heights = tuple(f.evaluate(m) for m in range(41))
+        # den * f(m): bars are drawn relative to the tallest, so den cancels
         spec = PlotSpec(
-            bar_heights=heights,
+            bar_heights=tuple(f._numerator(m) for m in range(41)),
             width_px=args.width,
             height_px=args.height,
             title="two-branch quasipolynomial, arguments 0..40",
@@ -240,19 +244,13 @@ def cmd_plot(args) -> int:
             coeffs = q_binomial_box(args.n, args.k).coeffs
         overlay = None
         if args.overlay:
-            from fractions import Fraction
-
             from .shape import limit_shape
 
             curve = limit_shape(args.k)
-            # curve in bar-value units: L(x) * total / bars  (see --help)
-            samples = 512
-            values, den = curve._grid(curve._density, samples)
-            den *= len(coeffs)
+            # L_k at j/512 in bar-value units: L(x) * total / bars  (see --help)
+            values, den = curve._grid(curve._density, 512)
             total = sum(coeffs)
-            overlay = tuple(
-                (Fraction(j, samples), Fraction(v * total, den)) for j, v in enumerate(values)
-            )
+            overlay = (tuple(v * total for v in values), den * len(coeffs))
         spec = PlotSpec(
             bar_heights=coeffs,
             width_px=args.width,
@@ -272,10 +270,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write is reported below, not at exit
+        return code
     except InvalidArguments as exc:
         print(f"qshape: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout has gone (as with `| head`): stop quietly, and
+        # send what is still buffered to devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         print(f"qshape: i/o error: {exc}", file=sys.stderr)
         return 1

@@ -77,12 +77,6 @@ class Polynomial(_Frozen):
     def one(cls) -> Polynomial:
         return cls((1,))
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: Scalar = 1) -> Polynomial:
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        return cls((0,) * exponent + (coefficient,))
-
     @property
     def degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
@@ -187,9 +181,6 @@ class Polynomial(_Frozen):
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> Polynomial:
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
     def antiderivative(self) -> Polynomial:
         """Antiderivative with zero constant term, exact over Fractions."""
         from fractions import Fraction
@@ -208,15 +199,6 @@ class Polynomial(_Frozen):
                 out[j] += self.coeffs[i] * binom * hp
                 binom = binom * (i + 1) // (i + 1 - j)
                 hp = hp * h
-        return Polynomial(out)
-
-    def scale_arg(self, a: Scalar) -> Polynomial:
-        """The polynomial p(a * x)."""
-        out = []
-        power: Scalar = 1
-        for c in self.coeffs:
-            out.append(c * power)
-            power = power * a
         return Polynomial(out)
 
     def to_string(self, var: str = "q", descending: bool = False) -> str:

@@ -1,4 +1,4 @@
-"""q-integers, q-factorials, and Gaussian binomial coefficients.
+"""q-factorials and Gaussian binomial coefficients.
 
 The box form ``[n+k choose k]_q`` (coefficient i counts partitions of i with
 at most n parts, each at most k) is the object whose coefficient sequence the
@@ -21,13 +21,6 @@ from .errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
 from .exactnum import Polynomial
 
 
-def q_integer(n: int) -> Polynomial:
-    """[n]_q = 1 + q + ... + q^(n-1); the zero polynomial for n = 0."""
-    if n < 0:
-        raise InvalidArguments("q_integer needs n >= 0")
-    return Polynomial((1,) * n)
-
-
 @functools.lru_cache(maxsize=None)
 def q_factorial(n: int) -> Polynomial:
     """[n]!_q = [n]_q [n-1]_q ... [1]_q; the empty product is 1."""
@@ -35,7 +28,7 @@ def q_factorial(n: int) -> Polynomial:
         raise InvalidArguments("q_factorial needs n >= 0")
     if n == 0:
         return Polynomial.one()
-    return q_factorial(n - 1) * q_integer(n)
+    return q_factorial(n - 1) * Polynomial((1,) * n)
 
 
 def q_binomial(n: int, k: int) -> Polynomial:

@@ -142,7 +142,8 @@ def fit_quasipolynomial(
     cols = []
     for j in range(degree, -1, -1):
         nodes = range(start_index + j * period, start_index + (j + 1) * period)
-        low = [scale // (math.factorial(j) * period**j) * c for c in leads[j]]
+        unit = scale // (math.factorial(j) * period**j)
+        low = [unit * c for c in leads[j]]
         cols = [[a - x * b for a, x, b in zip(lower, nodes, col)]
                 for lower, col in zip([low] + cols, cols)] + (cols[-1:] or [low])
     rows, turn = tuple(zip(*cols)), -start_index % period  # offset of residue 0

@@ -4,13 +4,13 @@ The output is assembled from strings only: no timestamps, no library version
 markers, no randomness, so identical inputs always produce byte-identical
 files.  Bars are scaled so the tallest bar is exactly height_px tall and the
 bars jointly fill exactly width_px, which is what makes graphs of
-polynomials of different degrees comparable.
+polynomials of different degrees comparable.  Every number in a PlotSpec
+is an integer, and every coordinate is the correctly rounded float of an
+exact rational.
 """
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
-
-from .exactnum import Scalar
 
 # Region fills in region-index order; black marks transition zones.  Beyond
 # the first four the palette repeats after the named extension colors.
@@ -25,16 +25,17 @@ _TITLE_BAND = 30
 class PlotSpec(NamedTuple):
     """Everything needed to render one bar graph.
 
-    bar_heights are raw non-negative values; overlay points are pairs
-    (u, v) with u the horizontal fraction in [0,1] and v in the same value
-    units as the bars, so both are normalized by the same factor.
+    bar_heights are non-negative ints, drawn relative to the tallest, so
+    any common denominator cancels.  overlay is (values, den): point j sits
+    at the horizontal fraction j/(len(values)-1) (0 for a single value) with
+    height values[j]/den in bar units, so bars and curve share one scale.
     """
 
-    bar_heights: tuple[Scalar, ...]
+    bar_heights: tuple[int, ...]
     width_px: int
     height_px: int
     title: str
-    overlay: Optional[tuple[tuple[Scalar, Scalar], ...]] = None
+    overlay: Optional[tuple[tuple[int, ...], int]] = None
     region_colors: Optional[tuple[str, ...]] = None
 
 
@@ -50,6 +51,8 @@ def render_svg(spec: PlotSpec) -> str:
         raise ValueError("need at least one bar, all heights non-negative")
     if spec.region_colors is not None and len(spec.region_colors) != len(bars):
         raise ValueError("region_colors must give one fill per bar")
+    if spec.overlay is not None and (not spec.overlay[0] or spec.overlay[1] < 1):
+        raise ValueError("an overlay needs at least one value and den >= 1")
     peak = max(bars)
     if peak == 0:
         raise ValueError("all bars are zero")
@@ -69,26 +72,24 @@ def render_svg(spec: PlotSpec) -> str:
         f'<text x="{width // 2}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    # every coordinate is an exact rational taken as an integer ratio: int
-    # true division rounds correctly, so each float is the float of the
-    # exact value; the scale height_px / peak is sn / sd
-    pn, pd = peak.as_integer_ratio()
-    sn, sd = spec.height_px * pd, pn
+    # every coordinate is one int true division, which rounds correctly, so
+    # each float is the float of the exact value; a value v is v * height_px
+    # / peak pixels tall
     for i, raw in enumerate(bars):
-        rn, rd = raw.as_integer_ratio()
-        hn, hd = rn * sn, rd * sd
+        h = raw * spec.height_px
         fill = spec.region_colors[i] if spec.region_colors is not None else BAR_FILL
         lines.append(
             f'<rect class="bar" x="{_fmt((_MARGIN * count + spec.width_px * i) / count)}" '
-            f'y="{_fmt((base_y * hd - hn) / hd)}" '
-            f'width="{bar_w}" height="{_fmt(hn / hd)}" fill="{fill}"/>'
+            f'y="{_fmt((base_y * peak - h) / peak)}" '
+            f'width="{bar_w}" height="{_fmt(h / peak)}" fill="{fill}"/>'
         )
-    if spec.overlay:
-        ratios = ((u.as_integer_ratio(), v.as_integer_ratio()) for u, v in spec.overlay)
+    if spec.overlay is not None:
+        values, den = spec.overlay
+        ud, vd = max(len(values) - 1, 1), den * peak
         points = " ".join(
-            f"{_fmt((_MARGIN * ud + un * spec.width_px) / ud)},"
-            f"{_fmt((base_y * vd * sd - vn * sn) / (vd * sd))}"
-            for (un, ud), (vn, vd) in ratios
+            f"{_fmt((_MARGIN * ud + j * spec.width_px) / ud)},"
+            f"{_fmt((base_y * vd - v * spec.height_px) / vd)}"
+            for j, v in enumerate(values)
         )
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="black" stroke-width="1.5"/>'

@@ -32,25 +32,25 @@ def polyline(svg_text):
     return re.search(r'<polyline points="([^"]*)"', svg_text).group(1)
 
 
-def polyline_oracle(spec):
-    """The overlay points by Fraction arithmetic: margin 10, title band 30."""
-    scale = Fraction(spec.height_px) / Fraction(max(spec.bar_heights))
-    base_y = 30 + spec.height_px
+def polyline_oracle(bars, width, height, points):
+    """The overlay polyline by Fraction arithmetic, for points (u, v) with u
+    the horizontal fraction and v in bar units: margin 10, title band 30."""
+    scale = Fraction(height) / Fraction(max(bars))
     return " ".join(
-        f"{_fmt(10 + Fraction(u) * spec.width_px)},{_fmt(base_y - Fraction(v) * scale)}"
-        for u, v in spec.overlay
+        f"{_fmt(10 + Fraction(u) * width)},{_fmt(30 + height - Fraction(v) * scale)}"
+        for u, v in points
     )
 
 
-def bar_oracle(spec):
-    """The bar elements by Fraction arithmetic: margin 10, title band 30."""
-    bars = spec.bar_heights
-    scale = Fraction(spec.height_px) / Fraction(max(bars))
-    bar_w = Fraction(spec.width_px, len(bars))
-    fills = spec.region_colors or ("steelblue",) * len(bars)
+def bar_oracle(bars, width, height, fills=None):
+    """The bar elements by Fraction arithmetic, for heights of any exact
+    type: margin 10, title band 30."""
+    scale = Fraction(height) / Fraction(max(bars))
+    bar_w = Fraction(width, len(bars))
+    fills = fills or ("steelblue",) * len(bars)
     return [
         f'<rect class="bar" x="{_fmt(10 + bar_w * i)}" '
-        f'y="{_fmt(30 + spec.height_px - Fraction(raw) * scale)}" '
+        f'y="{_fmt(30 + height - Fraction(raw) * scale)}" '
         f'width="{_fmt(bar_w)}" height="{_fmt(Fraction(raw) * scale)}" fill="{fill}"/>'
         for i, (raw, fill) in enumerate(zip(bars, fills))
     ]
@@ -303,6 +303,10 @@ class TestStartup:
          ["fractions", "html", "qshape.measure", "qshape.shape"]),
         (["plot", "--n", "24", "--k", "4", "--out", "OUT"],
          ["fractions", "html", "qshape.measure", "qshape.quasi", "qshape.shape"]),
+        (["plot", "--n", "24", "--k", "4", "--overlay", "--out", "OUT"],
+         ["decimal", "fractions", "html", "qshape.measure", "qshape.quasi"]),
+        (["plot", "--demo", "--out", "OUT"],
+         ["decimal", "fractions", "html", "qshape.measure", "qshape.shape"]),
     ])
     def test_command_loads_only_its_modules(self, argv, absent, tmp_path):
         argv = [str(tmp_path / "p.svg") if a == "OUT" else a for a in argv]
@@ -312,6 +316,13 @@ class TestStartup:
             f"print(code, sorted(m for m in {absent!r} if m in sys.modules))"
         )
         assert fresh_python(probe) == "0 []\n"
+
+    def test_svgplot_imports_no_other_module_of_the_package(self):
+        probe = (
+            "import sys, qshape.svgplot; "
+            "print(sorted(m for m in sys.modules if m.startswith('qshape.')))"
+        )
+        assert fresh_python(probe) == "['qshape.svgplot']\n"
 
     def test_every_export_resolves(self):
         probe = (
@@ -325,7 +336,7 @@ class TestStartup:
             "print(sorted(set(namespace) - {'__builtins__'}) == sorted(qshape.__all__),"
             " listed, len(qshape.__all__))"
         )
-        assert fresh_python(probe) == "True True 29\n"
+        assert fresh_python(probe) == "True True 28\n"
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -408,27 +419,30 @@ class TestPlot:
         main(["plot", "--n", "9", "--k", "7", "--overlay", "--out", str(out_file)])
         poly, curve = q_binomial_box(9, 7), limit_shape(7)
         scale = Fraction(sum(poly.coeffs), len(poly.coeffs))
-        overlay = tuple(
+        points = [
             (Fraction(j, 512), curve.evaluate(Fraction(j, 512)) * scale) for j in range(513)
-        )
-        spec = PlotSpec(poly.coeffs, 800, 300, "", overlay=overlay)
-        assert polyline(out_file.read_text()) == polyline_oracle(spec)
+        ]
+        assert polyline(out_file.read_text()) == polyline_oracle(poly.coeffs, 800, 300, points)
 
     @settings(max_examples=50, deadline=None, database=None)
     @given(
-        st.lists(st.fractions(min_value=0, max_value=10 ** 6), min_size=1, max_size=5)
-        .filter(any),
-        st.lists(
-            st.tuples(st.fractions(min_value=0, max_value=1),
-                      st.fractions(min_value=0, max_value=10 ** 6)),
-            min_size=1, max_size=5,
-        ),
+        st.lists(st.integers(0, 10 ** 30), min_size=1, max_size=5).filter(any),
+        st.lists(st.integers(0, 10 ** 30), min_size=1, max_size=5),
+        st.integers(1, 10 ** 12),
         st.integers(1, 2000),
         st.integers(1, 1000),
     )
-    def test_overlay_render_matches_fraction_oracle(self, bars, overlay, width, height):
-        spec = PlotSpec(tuple(bars), width, height, "", overlay=tuple(overlay))
-        assert polyline(render_svg(spec)) == polyline_oracle(spec)
+    def test_overlay_render_matches_fraction_oracle(self, bars, values, den, width, height):
+        spec = PlotSpec(tuple(bars), width, height, "", overlay=(tuple(values), den))
+        # point j of n + 1 values sits at j/n of the width (a single one at 0)
+        points = [(Fraction(j, max(len(values) - 1, 1)), Fraction(v, den))
+                  for j, v in enumerate(values)]
+        assert polyline(render_svg(spec)) == polyline_oracle(bars, width, height, points)
+
+    @pytest.mark.parametrize("overlay", [((), 1), ((1, 2), 0)])
+    def test_overlay_needs_a_value_and_a_positive_den(self, overlay):
+        with pytest.raises(ValueError, match="overlay"):
+            render_svg(PlotSpec((1, 2), 10, 10, "", overlay=overlay))
 
     @pytest.mark.parametrize("n, k, width, height, colored", [
         (2, 2, 800, 300, False),
@@ -443,27 +457,25 @@ class TestPlot:
         assert main(argv + ["--color-regions"] * colored) == 0
         svg = out_file.read_text()
         fills = tuple(bar_fills(svg)) if colored else None
-        spec = PlotSpec(q_binomial_box(n, k).coeffs, width, height, "", region_colors=fills)
-        assert svg_bars(svg) == bar_oracle(spec)
+        assert svg_bars(svg) == bar_oracle(q_binomial_box(n, k).coeffs, width, height, fills)
 
     def test_demo_bars_match_fraction_oracle(self, tmp_path):
-        # Fraction bar heights
+        # the demo's values are half-integers: the oracle draws them as Fractions
         out_file = tmp_path / "d.svg"
         assert main(["plot", "--demo", "--width", "501", "--out", str(out_file)]) == 0
         f = demo_quasipolynomial()
-        spec = PlotSpec(tuple(Fraction(f.evaluate(m)) for m in range(41)), 501, 300, "")
-        assert svg_bars(out_file.read_text()) == bar_oracle(spec)
+        heights = [f.evaluate(m) for m in range(41)]
+        assert svg_bars(out_file.read_text()) == bar_oracle(heights, 501, 300)
 
     @settings(max_examples=50, deadline=None, database=None)
     @given(
-        st.lists(st.one_of(st.integers(0, 10 ** 30), st.fractions(min_value=0, max_value=10 ** 6)),
-                 min_size=1, max_size=20).filter(any),
+        st.lists(st.integers(0, 10 ** 30), min_size=1, max_size=20).filter(any),
         st.integers(1, 2000),
         st.integers(1, 1000),
     )
     def test_bar_render_matches_fraction_oracle(self, bars, width, height):
         spec = PlotSpec(tuple(bars), width, height, "")
-        assert svg_bars(render_svg(spec)) == bar_oracle(spec)
+        assert svg_bars(render_svg(spec)) == bar_oracle(bars, width, height)
 
     def test_demo_two_branches(self, tmp_path):
         out_file = tmp_path / "d.svg"
@@ -478,6 +490,35 @@ class TestPlot:
         code = main(["plot", "--out", str(tmp_path / "x.svg")])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--overlay", "--color-regions"])
+    def test_demo_rejects_curve_and_region_flags(self, tmp_path, capsys, flag):
+        out_file = tmp_path / "d.svg"
+        code = main(["plot", "--demo", flag, "--out", str(out_file)])
+        assert code == 2
+        assert capsys.readouterr().err == f"qshape: error: plot --demo cannot be combined with {flag}\n"
+        assert not out_file.exists()
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv", [
+        ["qbinom", "--n", "2000", "--k", "8"],
+        ["regions", "--n", "840", "--k", "7"],
+        ["shape", "--k", "8", "--samples", "20000"],
+    ])
+    def test_reader_closing_early_is_quiet(self, argv):
+        # each output is far larger than a pipe buffer, so the command is
+        # still writing when its reader goes away after one line
+        src = os.path.dirname(os.path.dirname(qshape.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "qshape.cli", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 1
+        proc.stderr.close()
 
 
 class TestParser:

@@ -16,10 +16,11 @@ from qshape.qcore import (
     q_binomial_partition_dp,
     q_binomial_pascal,
     q_factorial,
-    q_integer,
 )
 from qshape.quasi import initial_quasipolynomial, numerator_expansion
 from qshape.shape import limit_shape
+
+from oracles import q_integer
 
 
 def quotient_oracle(n, k):

@@ -28,11 +28,13 @@ from qshape.quasi import (
     region_decomposition,
 )
 
+from oracles import monomial
+
 
 def parts_at_most_k_denominator(k):
     den = Polynomial.one()
     for i in range(1, k + 1):
-        den = den * (Polynomial.one() - Polynomial.monomial(i))
+        den = den * (Polynomial.one() - monomial(i))
     return den
 
 
@@ -310,10 +312,10 @@ class TestNumeratorExpansion:
             for n in (0, 1, 2, 5, 17, 30):
                 product = Polynomial.one()
                 for i in range(1, k + 1):
-                    product = product * (Polynomial.one() - Polynomial.monomial(n + i))
+                    product = product * (Polynomial.one() - monomial(n + i))
                 total = Polynomial.zero()
                 for t in numerator_expansion(k):
-                    total = total + Polynomial.monomial(t.exponent(n), t.sign * t.multiplicity)
+                    total = total + monomial(t.exponent(n), t.sign * t.multiplicity)
                 assert total == product
 
 

@@ -34,7 +34,7 @@ def build(kind):
         return measure_from_polynomial(q_binomial_box(3, 2))
     if kind == "ConvergenceRow":
         return convergence_table(2, [4])[0]
-    return PlotSpec((1, 2), 10, 20, "t", overlay=((0, 1),))
+    return PlotSpec((1, 2), 10, 20, "t", overlay=((0, 1), 2))
 
 
 KINDS = ["Polynomial", "Quasipolynomial", "PiecewisePolynomial", "CoefficientReport",
