@@ -215,8 +215,10 @@ def cmd_plot(args) -> int:
     from .svgplot import PlotSpec, region_fills, render_svg
 
     if args.demo:
-        if args.overlay or args.color_regions:
-            flag = "--overlay" if args.overlay else "--color-regions"
+        given = {"--n": args.n is not None, "--k": args.k is not None,
+                 "--overlay": args.overlay, "--color-regions": args.color_regions}
+        flag = next((name for name, on in given.items() if on), None)
+        if flag:
             raise InvalidArguments(f"plot --demo cannot be combined with {flag}")
         from .quasi import demo_quasipolynomial
 

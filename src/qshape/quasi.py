@@ -9,11 +9,11 @@ flows from one identity: expanding the numerator of
 by the q-binomial theorem gives signed terms c * q^(j*n + t), so the
 coefficient of q^m is a signed sum of power-series coefficients of
 1 / ((1-q)...(1-q^k)) at shifted indices.  Those base coefficients count
-partitions into parts at most k and are exactly quasipolynomial, as is each
-region's partial-numerator series past its last exponent: every formula is
-fitted from its own integer series by forward differences and validated on
-held-out samples.  Where each formula starts to match follows in closed
-form from Stanley reciprocity for partitions into parts <= k.
+partitions into parts at most k and are exactly quasipolynomial: the base
+quasipolynomial F is fitted once from its integer series, and each region's
+formula is that signed sum of shifted copies of F, assembled exactly in
+integers.  Where each formula starts to match follows in closed form from
+Stanley reciprocity for partitions into parts <= k.
 """
 from __future__ import annotations
 
@@ -24,11 +24,7 @@ from operator import sub
 from typing import NamedTuple, Sequence
 
 from .errors import (
-    IndexOutOfRange,
-    InsufficientSamples,
-    InvalidArguments,
-    NonUnitConstantTerm,
-    ValidationFailure,
+    IndexOutOfRange, InsufficientSamples, InvalidArguments, NonUnitConstantTerm, ValidationFailure,
 )
 from .exactnum import (
     Polynomial, Scalar, _Frozen, _form_rows, _horner, _integer_rows, _polys, _render_rows,
@@ -150,14 +146,6 @@ def fit_quasipolynomial(
     return Quasipolynomial._make(period, rows[turn:] + rows[:turn], scale)
 
 
-def _divide_by_parts(series: list[int], k: int) -> list[int]:
-    """Divide series by (1-q)...(1-q^k) in place: by 1-q^i, a prefix sum per class mod i."""
-    for i in range(1, k + 1):
-        for c in range(i):
-            series[c::i] = accumulate(series[c::i])
-    return series
-
-
 @functools.lru_cache(maxsize=None)
 def initial_quasipolynomial(k: int) -> Quasipolynomial:
     """The quasipolynomial giving the series coefficients of 1/((1-q)...(1-q^k)).
@@ -169,7 +157,10 @@ def initial_quasipolynomial(k: int) -> Quasipolynomial:
     if k < 1:
         raise InvalidArguments("needs k >= 1")
     period = math.lcm(*range(1, k + 1))
-    series = _divide_by_parts([1] + [0] * (2 * k * period - 1), k)
+    series = [1] + [0] * (2 * k * period - 1)
+    for i in range(1, k + 1):  # divide by 1-q^i: a prefix sum per class mod i
+        for c in range(i):
+            series[c::i] = accumulate(series[c::i])
     return fit_quasipolynomial(series, 0, period, k - 1)
 
 
@@ -263,30 +254,40 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
     """Decompose the coefficients of [n+k choose k]_q into k quasipolynomial
     regions plus the transition zones between them.
 
-    Region r's formula is fitted to its partial-numerator series, the signed
-    sum of base series values over the numerator terms of blocks <= r, from
-    its left endpoint on: the largest of those exponents, where the last
-    block-r term starts applying in full.  Its right endpoint sits just below
-    the smallest block-(r+1) exponent.  The zone widths depend on k only.
+    Region r's formula is G_r(m) = sum c * F(m - e) over the numerator terms
+    c * q^e of blocks <= r, F the base quasipolynomial.  It holds from its left
+    endpoint on, the largest such e, where the last block-r term starts
+    applying in full, up to its right endpoint just below the smallest
+    block-(r+1) exponent.  The zone widths depend on k only.
     """
     if k < 1:
         raise InvalidArguments("needs k >= 1")
     if n < min_region_n(k):
-        raise InvalidArguments(
-            f"n={n} too small for k={k}: need n >= {min_region_n(k)}"
-        )
-    period = math.lcm(*range(1, k + 1))
+        raise InvalidArguments(f"n={n} too small for k={k}: need n >= {min_region_n(k)}")
     true_coeffs = q_binomial_box(n, k).coeffs
+    base, terms = initial_quasipolynomial(k), numerator_expansion(k)
+    period = base.period
+    # F_i, column i of F, at its least period; as (m - e)^i = sum_j C(i, j) m^j (-e)^(i-j),
+    # acc[j][i - j] sums C(i, j) * c * (-e)^(i-j) * F_i(x - e) over the terms so far,
+    # and its sum over i, of period lcms[j], is the formula's coefficient of m^j
+    cols = [col[:next(d for d in range(1, period + 1)
+                      if period % d == 0 and col == col[:d] * (period // d))]
+            for col in zip(*base.rows)]
+    acc = [[[0] * len(col) for col in cols[j:]] for j in range(k)]
+    lcms = [math.lcm(*map(len, cols[j:])) for j in range(k)]
 
-    regions = []
-    terms = numerator_expansion(k)
+    regions, left = [], 0
     for r in range(k):
-        active = [(t.sign * t.multiplicity, t.exponent(n)) for t in terms if t.block <= r]
-        left = max(e for _, e in active)
-        series = [0] * (left + 2 * k * period)
-        for c, e in active:
-            series[e] += c
-        formula = fit_quasipolynomial(_divide_by_parts(series, k)[left:], left, period, k - 1)
+        for c, e in [(t.sign * t.multiplicity, t.exponent(n)) for t in terms if t.block == r]:
+            left = max(left, e)
+            for i, col in enumerate(cols):
+                shifted = col[-e % len(col):] + col[:-e % len(col)]
+                for j in range(i + 1):
+                    w = c * math.comb(i, j) * (-e) ** (i - j)
+                    acc[j][i - j] = [a + w * x for a, x in zip(acc[j][i - j], shifted)]
+        gcols = [[sum(v) for v in zip(*(a * (q // len(a)) for a in sums))] * (period // q)
+                 for q, sums in zip(lcms, acc)]
+        formula = Quasipolynomial._make(period, tuple(zip(*gcols)), base.den)
         right = n * k if r == k - 1 else (r + 1) * n + (r + 1) * (r + 2) // 2 - 1
         # at m < left the formula is off by sum c * F(m - e) over active e > m,
         # and by reciprocity the base quasipolynomial F vanishes at -1..1-T and
@@ -298,9 +299,7 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
             raise ArithmeticError(f"region {r} formula does not start matching at m={valid_from}")
         regions.append(Region(r, left, right, valid_from, formula))
 
-    zones = tuple(
-        (regions[r - 1].right + 1, regions[r].left - 1) for r in range(1, k)
-    )
+    zones = tuple((regions[r - 1].right + 1, regions[r].left - 1) for r in range(1, k))
     return RegionDecomposition(n, k, tuple(regions), zones, true_coeffs)
 
 

@@ -1,8 +1,12 @@
-"""Polynomial constructions that only the tests use: no production path
-calls them, so they live here as plain functions over the package's
-Polynomial rather than in its public API."""
+"""Constructions that only the tests use: no production path calls them, so
+they live here as plain functions over the package's types rather than in
+its public API."""
+import math
+from itertools import accumulate
+
 from qshape.errors import InvalidArguments
 from qshape.exactnum import Polynomial
+from qshape.quasi import fit_quasipolynomial, numerator_expansion
 
 
 def monomial(exponent, coefficient=1):
@@ -30,3 +34,24 @@ def q_integer(n):
     if n < 0:
         raise InvalidArguments("q_integer needs n >= 0")
     return Polynomial((1,) * n)
+
+
+def series_fit_formulas(n, k):
+    """The k region formulas of [n+k choose k]_q, each fitted from its own
+    integer series: the numerator terms of blocks <= r, divided by
+    (1-q)...(1-q^k) with one prefix sum per class mod i for each factor
+    1-q^i, and fitted from the region's left endpoint on."""
+    period = math.lcm(*range(1, k + 1))
+    terms = numerator_expansion(k)
+    formulas = []
+    for r in range(k):
+        active = [(t.sign * t.multiplicity, t.exponent(n)) for t in terms if t.block <= r]
+        left = max(e for _, e in active)
+        series = [0] * (left + 2 * k * period)
+        for c, e in active:
+            series[e] += c
+        for i in range(1, k + 1):
+            for c in range(i):
+                series[c::i] = accumulate(series[c::i])
+        formulas.append(fit_quasipolynomial(series[left:], left, period, k - 1))
+    return formulas

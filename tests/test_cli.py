@@ -491,10 +491,13 @@ class TestPlot:
         capsys.readouterr()
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--overlay", "--color-regions"])
-    def test_demo_rejects_curve_and_region_flags(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize(
+        "flags", ["--overlay", "--color-regions", "--n 5", "--k 3", "--n 5 --k 3", "--n 0"])
+    def test_demo_rejects_curve_and_region_flags(self, tmp_path, capsys, flags):
+        # the demo draws a fixed quasipolynomial: a size or curve flag would be dropped
         out_file = tmp_path / "d.svg"
-        code = main(["plot", "--demo", flag, "--out", str(out_file)])
+        code = main(["plot", "--demo", *flags.split(), "--out", str(out_file)])
+        flag = flags.split()[0]
         assert code == 2
         assert capsys.readouterr().err == f"qshape: error: plot --demo cannot be combined with {flag}\n"
         assert not out_file.exists()

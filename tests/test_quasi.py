@@ -28,7 +28,7 @@ from qshape.quasi import (
     region_decomposition,
 )
 
-from oracles import monomial
+from oracles import monomial, series_fit_formulas
 
 
 def parts_at_most_k_denominator(k):
@@ -222,17 +222,10 @@ def scan_valid_from(formula, true, right):
     return m + 1
 
 
-def perturbed_fit(change):
-    """fit_quasipolynomial with change(start_index, polys) applied to its
-    residue polynomials (a list, edited in place)."""
-    fit = fit_quasipolynomial
-
-    def wrapped(values, start_index, period, degree):
-        polys = list(fit(values, start_index, period, degree).polys)
-        change(start_index, polys)
-        return Quasipolynomial(period, tuple(polys))
-
-    return wrapped
+def with_extra_term(monkeypatch, k, term):
+    """Make region_decomposition see numerator_expansion(k) plus term."""
+    terms = numerator_expansion(k) + (term,)
+    monkeypatch.setattr(quasi, "numerator_expansion", lambda _: terms)
 
 
 class TestInitialQuasipolynomial:
@@ -281,6 +274,15 @@ class TestInitialQuasipolynomial:
                 tuple(p.coefficient(d) for d in range(cut + 1, k)) for p in q.polys
             }
             assert len(tops) == 1
+
+    def test_column_periods_are_graded(self):
+        # Sylvester's waves: the coefficient of m^i repeats with a period
+        # dividing lcm(1..floor(k/(i+1))), and region formulas inherit it
+        for k in range(1, 11):
+            rows = initial_quasipolynomial(k).rows
+            for i, col in enumerate(zip(*rows)):
+                p = math.lcm(*range(1, k // (i + 1) + 1))
+                assert all(col[x] == col[x % p] for x in range(len(col))), (k, i)
 
     def test_low_coefficients_do_vary(self):
         # the periodic part is genuinely periodic for k >= 2
@@ -428,27 +430,23 @@ class TestRegionDecomposition:
             assert closed == scan_valid_from(region.formula, true, region.right)
 
     def test_certificate_catches_mismatch_at_valid_from(self, monkeypatch):
-        # residue 0 holds valid_from = 0 of region 0
-        def bump(start_index, polys):
-            polys[0] += 1
-
-        monkeypatch.setattr(quasi, "fit_quasipolynomial", perturbed_fit(bump))
+        # a second block-0 term at e = 0 doubles region 0 at valid_from = 0
+        with_extra_term(monkeypatch, 2, SignedTerm(1, 1, 0, 0))
         with pytest.raises(ArithmeticError, match=r"region 0 .* at m=0"):
             region_decomposition(16, 2)
 
     def test_certificate_catches_match_below_valid_from(self, monkeypatch):
-        # shift region 1's residue of valid_from - 1 onto the true value
-        # there; valid_from itself lies in the other residue and still matches
+        # F vanishes at -1..1-T and F(-T) = +-1 (T = k(k+1)/2), so a term
+        # c * q^left moves region 1 at valid_from - 1 = left - T only: pick c
+        # to close the gap to the true value there
         n, k = 16, 2
         region = region_decomposition(n, k).regions[1]
-        m = region.valid_from - 1
+        m, spill = region.valid_from - 1, k * (k + 1) // 2
         gap = q_binomial_box(n, k).coeffs[m] - region.formula.evaluate(m)
-
-        def close_gap(start_index, polys):
-            if start_index == region.left:
-                polys[m % len(polys)] += gap
-
-        monkeypatch.setattr(quasi, "fit_quasipolynomial", perturbed_fit(close_gap))
+        c = gap * initial_quasipolynomial(k).evaluate(-spill)
+        assert m == region.left - spill and gap and c.denominator == 1
+        term = SignedTerm(1 if c > 0 else -1, abs(int(c)), region.left - n, 1)
+        with_extra_term(monkeypatch, k, term)
         with pytest.raises(ArithmeticError, match=rf"region 1 .* at m={region.valid_from}"):
             region_decomposition(n, k)
 
@@ -474,6 +472,21 @@ class TestRegionDecomposition:
         with pytest.raises(InvalidArguments):
             region_decomposition(5, 4)
         assert min_region_n(4) == 24
+
+    @pytest.mark.parametrize("n, k", [(16, 2), (24, 4), (2520, 8), (5040, 9)])
+    def test_formulas_match_series_fit(self, n, k):
+        expected = series_fit_formulas(n, k)
+        for region, fit in zip(region_decomposition(n, k).regions, expected, strict=True):
+            assert region.formula == fit
+            assert (region.formula.rows, region.formula.den) == (fit.rows, fit.den)
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(st.data())
+    def test_formulas_match_series_fit_property(self, data):
+        k = data.draw(st.integers(1, 7), label="k")
+        n = data.draw(st.integers(min_region_n(k), 3 * min_region_n(k)), label="n")
+        regions = region_decomposition(n, k).regions
+        assert [region.formula for region in regions] == series_fit_formulas(n, k)
 
     def test_formulas_match_shift_and_add(self):
         for n, k in ((16, 2), (40, 3), (50, 4), (130, 5), (130, 6)):
