@@ -7,9 +7,9 @@ included, are byte-identical for identical inputs.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import InvalidArguments
@@ -18,17 +18,25 @@ from .errors import InvalidArguments
 # what its command needs (start-up dominates small requests).
 
 
+def _invalid(message: str) -> Exception:
+    # argparse is imported only on this error branch and in _build_parser,
+    # so a well-formed request never loads it
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _nonneg(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise _invalid(f"must be >= 0, got {value}")
     return value
 
 
 def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise _invalid(f"must be >= 1, got {value}")
     return value
 
 
@@ -36,64 +44,10 @@ def _n_list(text: str) -> list[int]:
     try:
         values = [_nonneg(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad n list {text!r}") from exc
+        raise _invalid(f"bad n list {text!r}") from exc
     if not values:
-        raise argparse.ArgumentTypeError("n list is empty")
+        raise _invalid("n list is empty")
     return values
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qshape",
-        description="Coefficients of [n+k choose k]_q, their quasipolynomial "
-        "regions, limit shapes, and convergence diagnostics.",
-    )
-    parser.add_argument("--version", action="version", version=f"qshape {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("qbinom", help="coefficients of [n+k choose k]_q")
-    p.add_argument("--n", type=_nonneg, required=True)
-    p.add_argument("--k", type=_nonneg, required=True)
-    p.add_argument("--format", choices=("coeffs", "csv", "json"), default="coeffs")
-    p.set_defaults(func=cmd_qbinom)
-
-    p = sub.add_parser("regions", help="quasipolynomial region report")
-    p.add_argument("--n", type=_nonneg, required=True)
-    p.add_argument("--k", type=_positive, required=True)
-    p.add_argument("--format", choices=("coeffs", "csv", "json"), default="coeffs")
-    p.set_defaults(func=cmd_regions)
-
-    p = sub.add_parser("shape", help="limit shape L_k, exact pieces or samples")
-    p.add_argument("--k", type=_positive, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="list exact pieces")
-    mode.add_argument("--samples", type=_positive, default=None,
-                      help="emit S uniformly spaced (x, L_k(x)) rows")
-    p.set_defaults(func=cmd_shape)
-
-    p = sub.add_parser("converge", help="KS distance to L_k for each n")
-    p.add_argument("--k", type=_positive, required=True)
-    p.add_argument("--n-list", type=_n_list, required=True, metavar="a,b,c")
-    p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("plot", help="normalized bar graph as a deterministic SVG")
-    p.add_argument("--n", type=_nonneg)
-    p.add_argument("--k", type=_positive)
-    p.add_argument("--out", required=True)
-    p.add_argument("--overlay", action="store_true",
-                   help="draw L_k over the bars; the curve is scaled as "
-                   "L_k(x) * height / max_density with bar i's density "
-                   "mass_i * (n*k + 1), so a perfectly converged bar graph "
-                   "would trace the curve exactly")
-    p.add_argument("--color-regions", action="store_true",
-                   help="fill bars by quasipolynomial region, zones in black")
-    p.add_argument("--demo", action="store_true",
-                   help="plot the two-branch demo quasipolynomial on 0..40 "
-                   "instead of a q-binomial")
-    p.add_argument("--width", type=_positive, default=800)
-    p.add_argument("--height", type=_positive, default=300)
-    p.set_defaults(func=cmd_plot)
-    return parser
 
 
 def cmd_qbinom(args) -> int:
@@ -266,13 +220,119 @@ def cmd_plot(args) -> int:
     return 0
 
 
+# The one description of the command line: command -> (function, help,
+# {flag: add_argument keywords}).  argparse is built from it for help and
+# errors; _parse reads it directly for well-formed requests.
+_COMMANDS = {
+    "qbinom": (cmd_qbinom, "coefficients of [n+k choose k]_q", {
+        "--n": {"type": _nonneg, "required": True},
+        "--k": {"type": _nonneg, "required": True},
+        "--format": {"choices": ("coeffs", "csv", "json"), "default": "coeffs"},
+    }),
+    "regions": (cmd_regions, "quasipolynomial region report", {
+        "--n": {"type": _nonneg, "required": True},
+        "--k": {"type": _positive, "required": True},
+        "--format": {"choices": ("coeffs", "csv", "json"), "default": "coeffs"},
+    }),
+    "shape": (cmd_shape, "limit shape L_k, exact pieces or samples", {
+        "--k": {"type": _positive, "required": True},
+        "--exact": {"action": "store_true", "help": "list exact pieces"},
+        "--samples": {"type": _positive, "default": None,
+                      "help": "emit S uniformly spaced (x, L_k(x)) rows"},
+    }),
+    "converge": (cmd_converge, "KS distance to L_k for each n", {
+        "--k": {"type": _positive, "required": True},
+        "--n-list": {"type": _n_list, "required": True, "metavar": "a,b,c"},
+    }),
+    "plot": (cmd_plot, "normalized bar graph as a deterministic SVG", {
+        "--n": {"type": _nonneg},
+        "--k": {"type": _positive},
+        "--out": {"required": True},
+        "--overlay": {"action": "store_true",
+                      "help": "draw L_k over the bars; the curve is scaled as "
+                      "L_k(x) * height / max_density with bar i's density "
+                      "mass_i * (n*k + 1), so a perfectly converged bar graph "
+                      "would trace the curve exactly"},
+        "--color-regions": {"action": "store_true",
+                            "help": "fill bars by quasipolynomial region, zones in black"},
+        "--demo": {"action": "store_true",
+                   "help": "plot the two-branch demo quasipolynomial on 0..40 "
+                   "instead of a q-binomial"},
+        "--width": {"type": _positive, "default": 800},
+        "--height": {"type": _positive, "default": 300},
+    }),
+}
+_EXCLUSIVE = {"shape": ("--exact", "--samples")}  # mutually exclusive flags
+
+
+def _build_parser():
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="qshape",
+        description="Coefficients of [n+k choose k]_q, their quasipolynomial "
+        "regions, limit shapes, and convergence diagnostics.",
+    )
+    parser.add_argument("--version", action="version", version=f"qshape {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (func, text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        pair = _EXCLUSIVE.get(command, ())
+        group = p.add_mutually_exclusive_group() if pair else p
+        for flag, keywords in options.items():
+            (group if flag in pair else p).add_argument(flag, **keywords)
+        p.set_defaults(func=func)
+    return parser
+
+
+def _parse(argv: list[str]):
+    """The namespace argparse gives a well-formed request: a command, then
+    exact flags of it, each value in its own token not starting with "-" and
+    passing the flag's type and choices.  None for any other argv (help,
+    "--form", "--n=5", "-1", a bad value), which is left to argparse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    given, tokens = {}, iter(argv[1:])
+    for flag in tokens:
+        keywords = options.get(flag)
+        if keywords is None:
+            return None
+        if "action" in keywords:  # store_true
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value is left to argparse as well
+        if text.startswith("-"):
+            return None
+        try:
+            given[flag] = value = keywords.get("type", str)(text)
+        except Exception:  # argparse converts it again and reports the failure
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+    if len(given.keys() & _EXCLUSIVE.get(argv[0], ())) > 1 or any(
+            keywords.get("required") and flag not in given for flag, keywords in options.items()):
+        return None
+    values = {"command": argv[0], "func": func}
+    for flag, keywords in options.items():
+        default = keywords.get("default", False if "action" in keywords else None)
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        code = args.func(args)
+        if argv == ["--version"]:
+            sys.stdout.write(f"qshape {__version__}\n")
+            code = 0
+        else:
+            try:
+                args = _parse(argv) or _build_parser().parse_args(argv)
+            except SystemExit as exc:  # argparse has written help or a usage error
+                args, code = None, int(exc.code or 0)
+            if args is not None:
+                code = args.func(args)
         sys.stdout.flush()  # a failed write is reported below, not at exit
         return code
     except InvalidArguments as exc:

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qshape
-from qshape.cli import main
+from qshape.cli import (_COMMANDS, _EXCLUSIVE, _build_parser, _n_list, _nonneg, _parse,
+                        _positive, main)
 from qshape.qcore import q_binomial_box
 from qshape.quasi import demo_quasipolynomial
 from qshape.shape import limit_shape
@@ -288,6 +289,8 @@ class TestStartup:
         assert fresh_python(probe) == "[]\n"
 
     @pytest.mark.parametrize("argv, absent", [
+        (["--version"], ["qshape.exactnum", "qshape.measure", "qshape.qcore", "qshape.quasi",
+                         "qshape.shape", "qshape.svgplot"]),
         (["qbinom", "--n", "3", "--k", "2"],
          ["dataclasses", "fractions", "json", "qshape.measure", "qshape.quasi",
           "qshape.shape", "qshape.svgplot"]),
@@ -310,6 +313,7 @@ class TestStartup:
     ])
     def test_command_loads_only_its_modules(self, argv, absent, tmp_path):
         argv = [str(tmp_path / "p.svg") if a == "OUT" else a for a in argv]
+        absent = ["argparse", "gettext", *absent]  # a well-formed request builds no parser
         probe = (
             "import contextlib, io, sys; from qshape.cli import main\n"
             f"with contextlib.redirect_stdout(io.StringIO()): code = main({argv!r})\n"
@@ -523,6 +527,195 @@ class TestClosedPipe:
         assert proc.wait(timeout=60) == 1
         proc.stderr.close()
 
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["plot", "--help"]])
+    def test_reader_gone_before_version_or_help(self, argv):
+        # stdout buffered, as by default: the write fails only at the flush
+        src = os.path.dirname(os.path.dirname(qshape.__file__))
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "qshape.cli", *argv], env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+
+# stdout, stderr and exit status at COLUMNS=80, as argparse wrote them before
+# the parser was built from the option table
+PINNED = [
+    (["--help"], 0,
+     "usage: qshape [-h] [--version] {qbinom,regions,shape,converge,plot} ...\n"
+     "\n"
+     "Coefficients of [n+k choose k]_q, their quasipolynomial regions, limit shapes,\n"
+     "and convergence diagnostics.\n"
+     "\n"
+     "positional arguments:\n"
+     "  {qbinom,regions,shape,converge,plot}\n"
+     "    qbinom              coefficients of [n+k choose k]_q\n"
+     "    regions             quasipolynomial region report\n"
+     "    shape               limit shape L_k, exact pieces or samples\n"
+     "    converge            KS distance to L_k for each n\n"
+     "    plot                normalized bar graph as a deterministic SVG\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --version             show program's version number and exit\n",
+     ""),
+    (["qbinom", "--help"], 0,
+     "usage: qshape qbinom [-h] --n N --k K [--format {coeffs,csv,json}]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --n N\n"
+     "  --k K\n"
+     "  --format {coeffs,csv,json}\n",
+     ""),
+    (["regions", "--help"], 0,
+     "usage: qshape regions [-h] --n N --k K [--format {coeffs,csv,json}]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --n N\n"
+     "  --k K\n"
+     "  --format {coeffs,csv,json}\n",
+     ""),
+    (["shape", "--help"], 0,
+     "usage: qshape shape [-h] --k K [--exact | --samples SAMPLES]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help         show this help message and exit\n"
+     "  --k K\n"
+     "  --exact            list exact pieces\n"
+     "  --samples SAMPLES  emit S uniformly spaced (x, L_k(x)) rows\n",
+     ""),
+    (["converge", "--help"], 0,
+     "usage: qshape converge [-h] --k K --n-list a,b,c\n"
+     "\n"
+     "options:\n"
+     "  -h, --help      show this help message and exit\n"
+     "  --k K\n"
+     "  --n-list a,b,c\n",
+     ""),
+    (["plot", "--help"], 0,
+     "usage: qshape plot [-h] [--n N] [--k K] --out OUT [--overlay]\n"
+     "                   [--color-regions] [--demo] [--width WIDTH]\n"
+     "                   [--height HEIGHT]\n"
+     "\n"
+     "options:\n"
+     "  -h, --help       show this help message and exit\n"
+     "  --n N\n"
+     "  --k K\n"
+     "  --out OUT\n"
+     "  --overlay        draw L_k over the bars; the curve is scaled as L_k(x) *\n"
+     "                   height / max_density with bar i's density mass_i * (n*k +\n"
+     "                   1), so a perfectly converged bar graph would trace the\n"
+     "                   curve exactly\n"
+     "  --color-regions  fill bars by quasipolynomial region, zones in black\n"
+     "  --demo           plot the two-branch demo quasipolynomial on 0..40 instead\n"
+     "                   of a q-binomial\n"
+     "  --width WIDTH\n"
+     "  --height HEIGHT\n",
+     ""),
+    ([], 2,
+     "",
+     "usage: qshape [-h] [--version] {qbinom,regions,shape,converge,plot} ...\n"
+     "qshape: error: the following arguments are required: command\n"),
+    (["frobnicate"], 2,
+     "",
+     "usage: qshape [-h] [--version] {qbinom,regions,shape,converge,plot} ...\n"
+     "qshape: error: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'qbinom', 'regions', 'shape', 'converge', 'plot')\n"),
+    (["qbinom", "--k", "2"], 2,
+     "",
+     "usage: qshape qbinom [-h] --n N --k K [--format {coeffs,csv,json}]\n"
+     "qshape qbinom: error: the following arguments are required: --n\n"),
+    (["qbinom", "--n", "-1", "--k", "2"], 2,
+     "",
+     "usage: qshape qbinom [-h] --n N --k K [--format {coeffs,csv,json}]\n"
+     "qshape qbinom: error: argument --n: must be >= 0, got -1\n"),
+    (["regions", "--n", "30", "--k", "4", "--format", "xml"], 2,
+     "",
+     "usage: qshape regions [-h] --n N --k K [--format {coeffs,csv,json}]\n"
+     "qshape regions: error: argument --format: invalid choice: 'xml' "
+     "(choose from 'coeffs', 'csv', 'json')\n"),
+    (["shape", "--k", "3", "--exact", "--samples", "5"], 2,
+     "",
+     "usage: qshape shape [-h] --k K [--exact | --samples SAMPLES]\n"
+     "qshape shape: error: argument --samples: not allowed with argument --exact\n"),
+    (["converge", "--k", "3", "--n-list", ""], 2,
+     "",
+     "usage: qshape converge [-h] --k K --n-list a,b,c\n"
+     "qshape converge: error: argument --n-list: n list is empty\n"),
+]
+
+PARSER = _build_parser()
+FLAGS = sorted({flag for _, _, options in _COMMANDS.values() for flag in options})
+# abbreviations ("--n" for converge's --n-list is one too), "=" values, help,
+# "--" and the top-level flag: each one is left to argparse
+OTHERS = [*FLAGS, "--form", "--n=5", "-h", "--", "--version"]
+VALUES = ["0", "7", "-1", "", " 7", "\u0663", "5,,6", "csv", "xml", "--k", "-h"]
+VALID = {_nonneg: st.integers(0, 10**6).map(str),
+         _positive: st.integers(1, 10**6).map(str),
+         _n_list: st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(
+             lambda ns: ",".join(map(str, ns))),
+         str: st.text(st.characters(exclude_categories=("Cs",)), max_size=8).filter(
+             lambda t: not t.startswith("-"))}
+
+
+def argparse_namespace(argv):
+    try:
+        return vars(PARSER.parse_args(argv))
+    except SystemExit:  # pragma: no cover - reported by the assertion below
+        return None
+
+
+def valid_value(keywords):
+    """A strategy for the token after a flag that argparse accepts; none for a switch."""
+    if "action" in keywords:
+        return st.none()
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    return VALID[keywords.get("type", str)]
+
+
+@st.composite
+def drawn_requests(draw):
+    """A command or another first token, then flags, mostly the command's
+    own and often repeated, each followed by a value (valid for the flag or
+    drawn from VALUES) or by none."""
+    head = draw(st.sampled_from([*_COMMANDS, "-h", "--", "--version", "--n=5", "qbin"]))
+    options = _COMMANDS[head][2] if head in _COMMANDS else {}
+    flags = [f for f, kw in options.items() if kw.get("required") and draw(st.integers(0, 9))]
+    flags += draw(st.lists(st.sampled_from([*options] * 6 + OTHERS), max_size=3))
+    argv = [head]
+    for flag in draw(st.permutations(flags)):
+        drawn = st.sampled_from([None, *VALUES])
+        value = draw(valid_value(options[flag]) | drawn if flag in options else drawn)
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@st.composite
+def canonical_requests(draw):
+    """A command, every required flag and any others (at most one of an
+    exclusive pair), in any order, each with a valid value."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    options = _COMMANDS[command][2]
+    pair = _EXCLUSIVE.get(command, ())
+    optional = [f for f, kw in options.items() if not kw.get("required") and f not in pair]
+    flags = [f for f, kw in options.items() if kw.get("required")]
+    flags += draw(st.lists(st.sampled_from(optional), unique=True)) if optional else []
+    flags += [draw(st.sampled_from(pair))] if pair and draw(st.booleans()) else []
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        value = draw(valid_value(options[flag]))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
 
 class TestParser:
     def test_unknown_command(self, capsys):
@@ -534,3 +727,28 @@ class TestParser:
         code = main(["--help"])
         capsys.readouterr()
         assert code == 0
+
+    @pytest.mark.parametrize("argv, status, out, err", PINNED)
+    def test_fallback_output_is_pinned(self, argv, status, out, err, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _parse(argv) is None
+        code = main(argv)
+        assert (code, *capsys.readouterr()) == (status, out, err)
+
+    def test_version(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr() == (f"qshape {qshape.__version__}\n", "")
+
+    @settings(max_examples=400, deadline=None)
+    @given(drawn_requests())
+    def test_direct_parse_agrees_with_argparse(self, argv):
+        direct = _parse(argv)
+        if direct is not None:
+            assert vars(direct) == argparse_namespace(argv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_requests())
+    def test_canonical_requests_parse_directly(self, argv):
+        direct = _parse(argv)
+        assert direct is not None
+        assert vars(direct) == argparse_namespace(argv)
