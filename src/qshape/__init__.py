@@ -8,28 +8,11 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "exactnum": ("Polynomial", "solve_linear_rational"),
-    "qcore": (
-        "CoefficientReport",
-        "coefficient_report",
-        "q_binomial",
-        "q_binomial_box",
-        "q_binomial_partition_dp",
-        "q_binomial_pascal",
-        "q_factorial",
-    ),
-    "quasi": (
-        "Quasipolynomial",
-        "Region",
-        "RegionDecomposition",
-        "SignedTerm",
-        "coefficient_via_recursion",
-        "fit_quasipolynomial",
-        "initial_quasipolynomial",
-        "numerator_expansion",
-        "reciprocal_series",
-        "region_decomposition",
-    ),
+    "exactnum": ("Polynomial",),
+    "qcore": ("CoefficientReport", "coefficient_report", "q_binomial", "q_binomial_box"),
+    "quasi": ("Quasipolynomial", "Region", "RegionDecomposition", "SignedTerm",
+              "fit_quasipolynomial", "initial_quasipolynomial", "numerator_expansion",
+              "region_decomposition"),
     "shape": ("PiecewisePolynomial", "cube_slice_volume", "irwin_hall_density", "limit_shape"),
     "measure": (
         "ConvergenceRow",

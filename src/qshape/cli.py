@@ -108,8 +108,6 @@ def cmd_regions(args) -> int:
     else:
         import json
 
-        from .exactnum import _ratio
-
         doc = {
             "n": decomp.n,
             "k": decomp.k,
@@ -121,7 +119,7 @@ def cmd_regions(args) -> int:
                     "valid_from": region.valid_from,
                     "period": region.formula.period,
                     "degree": region.formula.degree,
-                    "residue_polynomials": region.formula.residue_coefficients(_ratio),
+                    "residue_polynomials": region.formula.residue_coefficients(),
                 }
                 for region in decomp.regions
             ],
@@ -327,10 +325,17 @@ def main(argv=None) -> int:
             sys.stdout.write(f"qshape {__version__}\n")
             code = 0
         else:
-            try:
-                args = _parse(argv) or _build_parser().parse_args(argv)
-            except SystemExit as exc:  # argparse has written help or a usage error
-                args, code = None, int(exc.code or 0)
+            args = _parse(argv)
+            if args is None:
+                import contextlib
+                import io
+
+                try:  # argparse drops a failed write, so it writes to a buffer
+                    with contextlib.redirect_stdout(io.StringIO()) as text:
+                        args = _build_parser().parse_args(argv)
+                except SystemExit as exc:  # argparse has written help or a usage error
+                    args, code = None, int(exc.code or 0)
+                sys.stdout.write(text.getvalue())  # a vanished reader raises here
             if args is not None:
                 code = args.func(args)
         sys.stdout.flush()  # a failed write is reported below, not at exit

@@ -264,12 +264,12 @@ def _render_rows(rows: Sequence, den: int, var: str = "q", descending: bool = Fa
     return ["-" + t[3:] if t[1:2] == "-" else t[3:] or "0" for t in map("".join, zip(*cols))]
 
 
-def _form_rows(rows: Sequence, den: int, form) -> list[list]:
-    """form(row[i], den) for the coefficients of each row, trailing zeros
-    dropped.  As in _render_rows, form is called once per distinct value of
-    a column."""
+def _form_rows(rows: Sequence, den: int) -> list[list[str]]:
+    """_ratio(row[i], den) for the coefficients of each row, trailing zeros
+    dropped.  As in _render_rows, each distinct value of a column is reduced
+    once."""
     out = []
-    for row, values in zip(rows, zip(*_columns(rows, lambda i, c: form(c, den)))):
+    for row, values in zip(rows, zip(*_columns(rows, lambda i, c: _ratio(c, den)))):
         width = len(row)
         while width and not row[width - 1]:
             width -= 1

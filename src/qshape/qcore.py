@@ -15,6 +15,8 @@ over partitions in a box.
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
+from operator import sub
 from typing import NamedTuple
 
 from .errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
@@ -38,14 +40,32 @@ def q_binomial(n: int, k: int) -> Polynomial:
     return q_binomial_box(n - k, k)
 
 
+def _box_series(n: int, k: int, count: int) -> list[int]:
+    """The first `count` power-series coefficients of
+    prod_{i=1..k} (1 - q^(n+i)) / (1 - q^i), for count >= 1.
+
+    Multiplying by 1 - q^e subtracts the series shifted by e, one slice
+    operation, and dividing by 1 - q^i is a prefix sum within each residue
+    class mod i.  The factors commute, so they run in pairs; a numerator
+    factor with n + i >= count leaves the truncation unchanged, so for
+    n >= count - 1 this is the series of partitions into parts at most k.
+    """
+    c = [1] + [0] * (count - 1)
+    for i in range(1, k + 1):
+        e = n + i
+        if e < count:
+            c[e:] = map(sub, c[e:], c[: count - e])
+        for r in range(i):
+            c[r::i] = accumulate(c[r::i])
+    return c
+
+
 def q_binomial_box(n: int, k: int) -> Polynomial:
     """[n+k choose k]_q: the generating function of partitions in an n-by-k box.
 
-    Runs the product formula as power series truncated at degree n*k // 2
-    and mirrors the result, which is palindromic of degree n*k: multiplying
-    by (1 - q^e) is one descending subtraction pass and dividing by
-    (1 - q^i) one ascending prefix sum with stride i.  Since
-    [n+k choose k]_q = [n+k choose n]_q, it takes min(n, k) factors.
+    The product formula truncated at degree n*k // 2, mirrored: the result
+    is palindromic of degree n*k.  Since [n+k choose k]_q = [n+k choose n]_q,
+    it takes min(n, k) factors.
     """
     if n < 0 or k < 0:
         raise InvalidArguments(f"q_binomial_box needs n, k >= 0, got n={n} k={k}")
@@ -53,13 +73,7 @@ def q_binomial_box(n: int, k: int) -> Polynomial:
         n, k = k, n
     top = n * k
     half = top // 2
-    c = [1] + [0] * half
-    for i in range(1, k + 1):
-        e = n + i
-        for j in range(half, e - 1, -1):
-            c[j] -= c[j - e]
-        for j in range(i, half + 1):
-            c[j] += c[j - i]
+    c = _box_series(n, k, half + 1)
     return Polynomial(c + c[: top - half][::-1])
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import accumulate
 from operator import sub
 from typing import NamedTuple, Sequence
 
@@ -29,7 +28,7 @@ from .errors import (
 from .exactnum import (
     Polynomial, Scalar, _Frozen, _form_rows, _horner, _integer_rows, _polys, _render_rows,
 )
-from .qcore import q_binomial, q_binomial_box
+from .qcore import _box_series, q_binomial, q_binomial_box
 
 
 class Quasipolynomial(_Frozen):
@@ -63,11 +62,10 @@ class Quasipolynomial(_Frozen):
         from fractions import Fraction
         return Fraction(self._numerator(m), self.den)
 
-    def residue_coefficients(self, form) -> list[list]:
-        """form(a, b) for each coefficient a/b (b > 0, not yet reduced) of
-        every residue polynomial, trailing zeros dropped; form is called once
-        per distinct value of a power."""
-        return _form_rows(self.rows, self.den, form)
+    def residue_coefficients(self) -> list[list[str]]:
+        """Each residue polynomial's coefficients as reduced "a/b" strings
+        (integers without "/"), trailing zeros dropped."""
+        return _form_rows(self.rows, self.den)
 
     def residue_strings(self, var: str = "q", descending: bool = False) -> list[str]:
         """polys[r].to_string(var, descending) for every residue r."""
@@ -157,11 +155,8 @@ def initial_quasipolynomial(k: int) -> Quasipolynomial:
     if k < 1:
         raise InvalidArguments("needs k >= 1")
     period = math.lcm(*range(1, k + 1))
-    series = [1] + [0] * (2 * k * period - 1)
-    for i in range(1, k + 1):  # divide by 1-q^i: a prefix sum per class mod i
-        for c in range(i):
-            series[c::i] = accumulate(series[c::i])
-    return fit_quasipolynomial(series, 0, period, k - 1)
+    count = 2 * k * period  # n = count - 1 leaves every numerator factor out
+    return fit_quasipolynomial(_box_series(count - 1, k, count), 0, period, k - 1)
 
 
 class SignedTerm(NamedTuple):

@@ -340,7 +340,7 @@ class TestStartup:
             "print(sorted(set(namespace) - {'__builtins__'}) == sorted(qshape.__all__),"
             " listed, len(qshape.__all__))"
         )
-        assert fresh_python(probe) == "True True 28\n"
+        assert fresh_python(probe) == "True True 22\n"
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -527,12 +527,20 @@ class TestClosedPipe:
         assert proc.wait(timeout=60) == 1
         proc.stderr.close()
 
-    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["plot", "--help"]])
-    def test_reader_gone_before_version_or_help(self, argv):
-        # stdout buffered, as by default: the write fails only at the flush
+    # buffered stdout, the default, fails only at the flush; with
+    # PYTHONUNBUFFERED=1 the write itself fails, which argparse's own writer
+    # would swallow
+    @pytest.mark.parametrize("argv, unbuffered", [
+        pytest.param(argv, unbuffered, id=f"argv{i}" + "-unbuffered" * unbuffered)
+        for unbuffered in (False, True)
+        for i, argv in enumerate([["--version"], ["--help"], ["plot", "--help"]])
+    ])
+    def test_reader_gone_before_version_or_help(self, argv, unbuffered):
         src = os.path.dirname(os.path.dirname(qshape.__file__))
         env = dict(os.environ)
         env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         read_end, write_end = os.pipe()
         os.close(read_end)

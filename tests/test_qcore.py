@@ -5,11 +5,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qshape.errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
 from qshape.exactnum import Polynomial
 from qshape.measure import convergence_table
 from qshape.qcore import (
+    _box_series,
     coefficient_report,
     q_binomial,
     q_binomial_box,
@@ -17,7 +20,7 @@ from qshape.qcore import (
     q_binomial_pascal,
     q_factorial,
 )
-from qshape.quasi import initial_quasipolynomial, numerator_expansion
+from qshape.quasi import initial_quasipolynomial, numerator_expansion, reciprocal_series
 from qshape.shape import limit_shape
 
 from oracles import q_integer
@@ -148,6 +151,53 @@ class TestPartitionDP:
                     count_partitions_in_box(i, n, k) for i in range(n * k + 1)
                 )
                 assert q_binomial_partition_dp(n, k) == Polynomial(expected)
+
+
+@st.composite
+def box_series_args(draw):
+    """(n, k, count) with 0 <= n, k <= 12 and count running past n*k + 1."""
+    n, k = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    return n, k, draw(st.integers(1, n * k + 3))
+
+
+def padded_box(n, k, count):
+    """The first count coefficients of the partition-DP oracle, zero past n*k."""
+    coeffs = list(q_binomial_partition_dp(n, k).coeffs)
+    return (coeffs + [0] * count)[:count]
+
+
+def parts_at_most(k, count):
+    """The first count coefficients of 1 / ((1-q)...(1-q^k))."""
+    den = Polynomial.one()
+    for i in range(1, k + 1):
+        den = den * Polynomial((1,) + (0,) * (i - 1) + (-1,))
+    return reciprocal_series(den, count)
+
+
+class TestBoxSeries:
+    """_box_series(n, k, count), the truncated product formula behind both the
+    box polynomial and the base series of partitions into parts <= k."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(box_series_args())
+    def test_matches_partition_dp(self, args):
+        n, k, count = args
+        assert _box_series(n, k, count) == padded_box(n, k, count)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(0, 12), st.integers(1, 60), st.integers(0, 3))
+    def test_numerator_past_truncation_leaves_partition_series(self, k, count, extra):
+        assert _box_series(count - 1 + extra, k, count) == parts_at_most(k, count)
+
+    def test_numerator_factor_at_truncation_edge(self):
+        # n + i = count - 1: the factor (1 - q^(n+i)) touches the last
+        # coefficient kept; n + i = count: it falls just outside
+        for n in range(13):
+            for k in range(1, 13):
+                full = padded_box(n, k, n + k + 1)
+                for i in range(1, k + 1):
+                    for count in (n + i, n + i + 1):
+                        assert _box_series(n, k, count) == full[:count], (n, k, i, count)
 
 
 class TestThreeWayAgreement:

@@ -139,7 +139,7 @@ class TestFit:
             assert q.evaluate(m) == polys[m % period].evaluate(m)
         # the integer rows render as the Fraction polynomials do
         assert q.residue_strings("m", True) == [p.to_string("m", True) for p in polys]
-        assert q.residue_coefficients(Fraction) == [list(p.coeffs) for p in polys]
+        assert q.residue_coefficients() == [[str(c) for c in p.coeffs] for p in polys]
 
     def test_alternating_period_two(self):
         values = [m if m % 2 else 3 * m for m in range(12)]
