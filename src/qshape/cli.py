@@ -3,7 +3,9 @@
 Exit status: 0 on success, 2 on a usage error (bad arguments or arguments
 outside an operation's domain), 1 on an internal error.  CSV output uses a
 header row, comma separation, and LF line endings; all outputs, SVG
-included, are byte-identical for identical inputs.
+included, are byte-identical for identical inputs.  Each cmd_* yields the
+lines of its output (plot writes its SVG to --out and yields none); main is
+the one writer of stdout and maps errors to exit statuses.
 """
 from __future__ import annotations
 
@@ -50,62 +52,29 @@ def _n_list(text: str) -> list[int]:
     return values
 
 
-def cmd_qbinom(args) -> int:
+def cmd_qbinom(args):
     from .qcore import q_binomial_box
 
     poly = q_binomial_box(args.n, args.k)
-    out = sys.stdout
     if args.format == "coeffs":
-        for c in poly.coeffs:
-            out.write(f"{c}\n")
+        yield from (f"{c}\n" for c in poly.coeffs)
     elif args.format == "csv":
-        out.write("index,coefficient\n")
-        for i, c in enumerate(poly.coeffs):
-            out.write(f"{i},{c}\n")
+        yield "index,coefficient\n"
+        yield from (f"{i},{c}\n" for i, c in enumerate(poly.coeffs))
     else:
         import json
 
-        out.write(json.dumps(
-            {"n": args.n, "k": args.k, "degree": poly.degree,
-             "coefficients": list(poly.coeffs)}))
-        out.write("\n")
-    return 0
+        doc = {"n": args.n, "k": args.k, "degree": poly.degree, "coefficients": poly.coeffs}
+        yield from (json.dumps(doc), "\n")
 
 
-def cmd_regions(args) -> int:
+def cmd_regions(args):
     from .quasi import region_decomposition
 
     decomp = region_decomposition(args.n, args.k)
-    out = sys.stdout
-    zone_values = {
-        zone: list(decomp.coeffs[zone[0]:zone[1] + 1]) for zone in decomp.transition_zones
-    }
-    if args.format == "coeffs":
-        for region in decomp.regions:
-            f = region.formula
-            out.write(
-                f"region {region.index}: interval [{region.left}, {region.right}]"
-                f" (formula valid from {region.valid_from}),"
-                f" period {f.period}, degree {f.degree}\n"
-            )
-            for r, text in enumerate(f.residue_strings("m", descending=True)):
-                out.write(f"  m = {r} (mod {f.period}): {text}\n")
-        for zone, values in zone_values.items():
-            joined = " ".join(str(v) for v in values)
-            out.write(f"transition zone [{zone[0]}, {zone[1]}]: {joined}\n")
-    elif args.format == "csv":
-        out.write("kind,index,left,right,valid_from,period,residue,formula\n")
-        for region in decomp.regions:
-            f = region.formula
-            for r, text in enumerate(f.residue_strings("m", descending=True)):
-                out.write(
-                    f"region,{region.index},{region.left},{region.right},"
-                    f"{region.valid_from},{f.period},{r},{text}\n"
-                )
-        for i, (zone, values) in enumerate(zone_values.items()):
-            joined = " ".join(str(v) for v in values)
-            out.write(f"zone,{i},{zone[0]},{zone[1]},,,,{joined}\n")
-    else:
+    zones = [(left, right, decomp.coeffs[left:right + 1])
+             for left, right in decomp.transition_zones]
+    if args.format == "json":
         import json
 
         doc = {
@@ -124,46 +93,55 @@ def cmd_regions(args) -> int:
                 for region in decomp.regions
             ],
             "transition_zones": [
-                {"left": zone[0], "right": zone[1], "coefficients": values}
-                for zone, values in zone_values.items()
+                {"left": left, "right": right, "coefficients": values}
+                for left, right, values in zones
             ],
         }
-        out.write(json.dumps(doc))
-        out.write("\n")
-    return 0
+        yield from (json.dumps(doc), "\n")
+        return
+    csv = args.format == "csv"
+    if csv:
+        yield "kind,index,left,right,valid_from,period,residue,formula\n"
+    for g in decomp.regions:
+        f = g.formula
+        if not csv:
+            yield (f"region {g.index}: interval [{g.left}, {g.right}]"
+                   f" (formula valid from {g.valid_from}), period {f.period}, degree {f.degree}\n")
+        for r, text in enumerate(f.residue_strings("m", descending=True)):
+            yield (f"region,{g.index},{g.left},{g.right},{g.valid_from},{f.period},{r},{text}\n"
+                   if csv else f"  m = {r} (mod {f.period}): {text}\n")
+    for i, (left, right, values) in enumerate(zones):
+        joined = " ".join(str(v) for v in values)
+        yield (f"zone,{i},{left},{right},,,,{joined}\n" if csv
+               else f"transition zone [{left}, {right}]: {joined}\n")
 
 
-def cmd_shape(args) -> int:
+def cmd_shape(args):
     from .exactnum import _ratio, _render_rows
     from .shape import limit_shape
 
     curve, k = limit_shape(args.k), args.k
-    out = sys.stdout
     if args.samples is None:
         for i, text in enumerate(_render_rows(*curve._density, "x", True)):
-            out.write(f"piece {i} on [{_ratio(i, k)}, {_ratio(i + 1, k)}]: {text}\n")
+            yield f"piece {i} on [{_ratio(i, k)}, {_ratio(i + 1, k)}]: {text}\n"
     else:
         # L_k at j/d for j = 0..d: integer numerators over one denominator
         d = args.samples - 1
         values, den = curve._grid(curve._density, d)
-        out.write("x,value\n")
+        yield "x,value\n"
         # d = 0 gives the one point x = 0, which prints as 0 over any d > 0
-        out.writelines(f"{_ratio(j, d or 1)},{_ratio(v, den)}\n" for j, v in enumerate(values))
-    return 0
+        yield from (f"{_ratio(j, d or 1)},{_ratio(v, den)}\n" for j, v in enumerate(values))
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args):
     from .measure import convergence_table
 
     rows = convergence_table(args.k, args.n_list)
-    out = sys.stdout
-    out.write("n,ks\n")
-    for row in rows:
-        out.write(f"{row.n},{row.ks:.12g}\n")
-    return 0
+    yield "n,ks\n"
+    yield from (f"{row.n},{row.ks:.12g}\n" for row in rows)
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args):
     from .svgplot import PlotSpec, region_fills, render_svg
 
     if args.demo:
@@ -215,7 +193,7 @@ def cmd_plot(args) -> int:
         )
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(render_svg(spec))
-    return 0
+    yield from ()  # the SVG file is the output: no lines for stdout
 
 
 # The one description of the command line: command -> (function, help,
@@ -321,9 +299,9 @@ def _parse(argv: list[str]):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        code = 0
         if argv == ["--version"]:
             sys.stdout.write(f"qshape {__version__}\n")
-            code = 0
         else:
             args = _parse(argv)
             if args is None:
@@ -337,7 +315,9 @@ def main(argv=None) -> int:
                     args, code = None, int(exc.code or 0)
                 sys.stdout.write(text.getvalue())  # a vanished reader raises here
             if args is not None:
-                code = args.func(args)
+                # one write per text; unbuffered stdout drops a short write, so a
+                # JSON document's newline is a write of its own to see a gone reader
+                sys.stdout.writelines(args.func(args))
         sys.stdout.flush()  # a failed write is reported below, not at exit
         return code
     except InvalidArguments as exc:

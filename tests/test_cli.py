@@ -123,9 +123,9 @@ class TestRegions:
         assert "transition zone" not in out
 
     def test_n_too_small_is_usage_error(self, capsys):
-        code = main(["regions", "--n", "5", "--k", "4"])
-        capsys.readouterr()
-        assert code == 2
+        # the domain check runs before the first line: stdout stays empty
+        assert main(["regions", "--n", "5", "--k", "4"]) == 2
+        assert capsys.readouterr() == ("", "qshape: error: n=5 too small for k=4: need n >= 24\n")
 
     def test_zone_values_are_true_coefficients(self, capsys):
         from qshape.qcore import q_binomial_box
@@ -238,6 +238,10 @@ class TestConverge:
         capsys.readouterr()
         assert code == 2
 
+    def test_non_increasing_list_is_usage_error(self, capsys):
+        assert main(["converge", "--k", "3", "--n-list", "5,5"]) == 2
+        assert capsys.readouterr() == ("", "qshape: error: n_list must be strictly increasing\n")
+
     def test_negative_entry_is_usage_error(self, capsys):
         code = main(["converge", "--k", "3", "--n-list=-2,4"])
         assert code == 2
@@ -258,13 +262,61 @@ class TestConverge:
         assert len(lines) == 2 and lines[1].startswith("10000,")
 
 
-def fresh_python(code):
-    """stdout of `code` run in a new interpreter that imports this package."""
+# the exact stdout of small requests, one per command and format (qbinom's
+# coeffs format is pinned by TestQbinom.test_coeff_lines)
+PINNED_OUTPUT = [
+    (["regions", "--n", "4", "--k", "2"],
+     "region 0: interval [0, 4] (formula valid from 0), period 2, degree 1\n"
+     "  m = 0 (mod 2): 1/2 m + 1\n"
+     "  m = 1 (mod 2): 1/2 m + 1/2\n"
+     "region 1: interval [6, 8] (formula valid from 4), period 2, degree 1\n"
+     "  m = 0 (mod 2): -1/2 m + 5\n"
+     "  m = 1 (mod 2): -1/2 m + 9/2\n"
+     "transition zone [5, 5]: 2\n"),
+    (["regions", "--n", "4", "--k", "2", "--format", "csv"],
+     "kind,index,left,right,valid_from,period,residue,formula\n"
+     "region,0,0,4,0,2,0,1/2 m + 1\n"
+     "region,0,0,4,0,2,1,1/2 m + 1/2\n"
+     "region,1,6,8,4,2,0,-1/2 m + 5\n"
+     "region,1,6,8,4,2,1,-1/2 m + 9/2\n"
+     "zone,0,5,5,,,,2\n"),
+    (["regions", "--n", "4", "--k", "2", "--format", "json"],
+     '{"n": 4, "k": 2, "regions": [{"index": 0, "left": 0, "right": 4, "valid_from": 0, '
+     '"period": 2, "degree": 1, "residue_polynomials": [["1", "1/2"], ["1/2", "1/2"]]}, '
+     '{"index": 1, "left": 6, "right": 8, "valid_from": 4, "period": 2, "degree": 1, '
+     '"residue_polynomials": [["5", "-1/2"], ["9/2", "-1/2"]]}], '
+     '"transition_zones": [{"left": 5, "right": 5, "coefficients": [2]}]}\n'),
+    (["qbinom", "--n", "2", "--k", "2", "--format", "csv"],
+     "index,coefficient\n0,1\n1,1\n2,2\n3,1\n4,1\n"),
+    (["shape", "--k", "3", "--samples", "4"], "x,value\n0,0\n1/3,3/2\n2/3,3/2\n1,0\n"),
+    (["converge", "--k", "2", "--n-list", "3,4"], "n,ks\n3,0.177777777778\n4,0.141666666667\n"),
+]
+
+
+class TestExactOutput:
+    @pytest.mark.parametrize("argv, out", PINNED_OUTPUT,
+                             ids=[" ".join(argv) for argv, _ in PINNED_OUTPUT])
+    def test_stdout_is_pinned(self, argv, out, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr() == (out, "")
+
+
+def cli_env(unbuffered=False):
+    """The caller's environment with this package on the path and stdout
+    buffered (the default) or, with `unbuffered`, PYTHONUNBUFFERED=1."""
     src = os.path.dirname(os.path.dirname(qshape.__file__))
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def fresh_python(code):
+    """stdout of `code` run in a new interpreter that imports this package."""
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True,
         timeout=60, check=True,
     )
     return result.stdout
@@ -491,9 +543,10 @@ class TestPlot:
         assert heights[39] > heights[38]
 
     def test_plot_without_n_k_or_demo_is_usage_error(self, tmp_path, capsys):
-        code = main(["plot", "--out", str(tmp_path / "x.svg")])
-        capsys.readouterr()
-        assert code == 2
+        out_file = tmp_path / "x.svg"
+        assert main(["plot", "--out", str(out_file)]) == 2
+        assert capsys.readouterr() == ("", "qshape: error: plot needs --n and --k (or --demo)\n")
+        assert not out_file.exists()
 
     @pytest.mark.parametrize(
         "flags", ["--overlay", "--color-regions", "--n 5", "--k 3", "--n 5 --k 3", "--n 0"])
@@ -503,25 +556,38 @@ class TestPlot:
         code = main(["plot", "--demo", *flags.split(), "--out", str(out_file)])
         flag = flags.split()[0]
         assert code == 2
-        assert capsys.readouterr().err == f"qshape: error: plot --demo cannot be combined with {flag}\n"
+        err = f"qshape: error: plot --demo cannot be combined with {flag}\n"
+        assert capsys.readouterr() == ("", err)
         assert not out_file.exists()
 
 
+def buffering_params(argvs):
+    """(argv, unbuffered) for each argv in both stdout modes, with ids
+    argvI and argvI-unbuffered."""
+    return [
+        pytest.param(argv, unbuffered, id=f"argv{i}" + "-unbuffered" * unbuffered)
+        for unbuffered in (False, True)
+        for i, argv in enumerate(argvs)
+    ]
+
+
 class TestClosedPipe:
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv, unbuffered", buffering_params([
         ["qbinom", "--n", "2000", "--k", "8"],
         ["regions", "--n", "840", "--k", "7"],
         ["shape", "--k", "8", "--samples", "20000"],
-    ])
-    def test_reader_closing_early_is_quiet(self, argv):
+        ["regions", "--n", "840", "--k", "7", "--format", "csv"],
+        ["regions", "--n", "840", "--k", "7", "--format", "json"],
+        ["qbinom", "--n", "2000", "--k", "8", "--format", "json"],
+    ]))
+    def test_reader_closing_early_is_quiet(self, argv, unbuffered):
         # each output is far larger than a pipe buffer, so the command is
-        # still writing when its reader goes away after one line
-        src = os.path.dirname(os.path.dirname(qshape.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.Popen([sys.executable, "-m", "qshape.cli", *argv], env=env,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        proc.stdout.readline()
+        # still writing when its reader goes away after 64 bytes (a JSON
+        # document is one line)
+        proc = subprocess.Popen([sys.executable, "-m", "qshape.cli", *argv],
+                                env=cli_env(unbuffered), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        proc.stdout.read(64)
         proc.stdout.close()
         assert proc.stderr.read() == b""
         assert proc.wait(timeout=60) == 1
@@ -530,23 +596,15 @@ class TestClosedPipe:
     # buffered stdout, the default, fails only at the flush; with
     # PYTHONUNBUFFERED=1 the write itself fails, which argparse's own writer
     # would swallow
-    @pytest.mark.parametrize("argv, unbuffered", [
-        pytest.param(argv, unbuffered, id=f"argv{i}" + "-unbuffered" * unbuffered)
-        for unbuffered in (False, True)
-        for i, argv in enumerate([["--version"], ["--help"], ["plot", "--help"]])
-    ])
+    @pytest.mark.parametrize("argv, unbuffered", buffering_params(
+        [["--version"], ["--help"], ["plot", "--help"]]))
     def test_reader_gone_before_version_or_help(self, argv, unbuffered):
-        src = os.path.dirname(os.path.dirname(qshape.__file__))
-        env = dict(os.environ)
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = subprocess.run([sys.executable, "-m", "qshape.cli", *argv], env=env,
-                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+            done = subprocess.run([sys.executable, "-m", "qshape.cli", *argv],
+                                  env=cli_env(unbuffered), stdout=write_end,
+                                  stderr=subprocess.PIPE, timeout=60)
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (1, b"")
