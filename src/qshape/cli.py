@@ -77,27 +77,18 @@ def cmd_regions(args):
     if args.format == "json":
         import json
 
-        doc = {
-            "n": decomp.n,
-            "k": decomp.k,
-            "regions": [
-                {
-                    "index": region.index,
-                    "left": region.left,
-                    "right": region.right,
-                    "valid_from": region.valid_from,
-                    "period": region.formula.period,
-                    "degree": region.formula.degree,
-                    "residue_polynomials": region.formula.residue_coefficients(),
-                }
-                for region in decomp.regions
-            ],
-            "transition_zones": [
-                {"left": left, "right": right, "coefficients": values}
-                for left, right, values in zones
-            ],
-        }
-        yield from (json.dumps(doc), "\n")
+        # json.dumps of the whole document, written one region at a time
+        yield f'{{"n": {decomp.n}, "k": {decomp.k}, "regions": ['
+        for region in decomp.regions:
+            if region.index:
+                yield ", "
+            f = region.formula
+            yield json.dumps({"index": region.index, "left": region.left, "right": region.right,
+                              "valid_from": region.valid_from, "period": f.period,
+                              "degree": f.degree, "residue_polynomials": f.residue_coefficients()})
+        yield '], "transition_zones": ' + json.dumps(
+            [{"left": left, "right": right, "coefficients": v} for left, right, v in zones]) + "}"
+        yield "\n"
         return
     csv = args.format == "csv"
     if csv:
@@ -122,7 +113,8 @@ def cmd_shape(args):
 
     curve, k = limit_shape(args.k), args.k
     if args.samples is None:
-        for i, text in enumerate(_render_rows(*curve._density, "x", True)):
+        rows, den = curve._density
+        for i, text in enumerate(_render_rows(tuple(zip(*rows)), k, den, "x", True)):
             yield f"piece {i} on [{_ratio(i, k)}, {_ratio(i + 1, k)}]: {text}\n"
     else:
         # L_k at j/d for j = 0..d: integer numerators over one denominator

@@ -10,6 +10,7 @@ all operations are exact and every value is immutable.
 from __future__ import annotations
 
 import math
+from itertools import cycle, islice
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import NonzeroRemainder, SingularSystem
@@ -203,7 +204,8 @@ class Polynomial(_Frozen):
 
     def to_string(self, var: str = "q", descending: bool = False) -> str:
         """Human-readable rendering, rationals as num/den (e.g. "1/2 m + 1")."""
-        return _render_rows(*_integer_rows([self]), var, descending)[0]
+        rows, den = _integer_rows([self])
+        return _render_rows(tuple(zip(*rows)), 1, den, var, descending)[0]
 
 
 def _integer_rows(polys: Sequence[Polynomial]) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -236,42 +238,44 @@ def _polys(rows: Sequence[Sequence[int]], den: int) -> tuple[Polynomial, ...]:
     return tuple(Polynomial(Fraction(c, den) for c in row) for row in rows)
 
 
-def _columns(rows: Sequence, term) -> list:
-    """Per power i, term(i, c) for the coefficients c of that power, row by
-    row; term is called once per distinct value of a column."""
-    cols = []
-    for i, col in enumerate(zip(*rows)):
+def _columns(cols: Sequence, count: int, term) -> list:
+    """Per power i, term(i, c) for the coefficient c of that power in rows
+    0..count-1, row r reading cols[i][r % len(cols[i])]; term is called once
+    per distinct value of a column."""
+    out = []
+    for i, col in enumerate(cols):
         done = {c: term(i, c) for c in set(col)}
-        cols.append(map(done.__getitem__, col))
-    return cols
+        out.append(islice(cycle(map(done.__getitem__, col)), count))
+    return out
 
 
-def _render_rows(rows: Sequence, den: int, var: str = "q", descending: bool = False) -> list[str]:
-    """Polynomial.to_string of each polynomial sum_i row[i]/den * var^i, for
-    rows of one length >= 1 over den > 0.  Each coefficient is reduced and
-    formatted once per distinct value of its power: the residue polynomials
-    of a quasipolynomial share most of their values."""
+def _render_rows(cols: Sequence, count: int, den: int, var: str = "q",
+                 descending: bool = False) -> list[str]:
+    """Polynomial.to_string of each polynomial sum_i cols[i][r]/den * var^i,
+    for rows r < count as in _columns, over den > 0 and at least one column.
+    Each coefficient is reduced and formatted once per distinct value of its
+    power: the residue polynomials of a quasipolynomial share most of them."""
     def term(i, c):
         mag = _ratio(abs(c), den)
         if i:
             mag = f"{'' if mag == '1' else mag + ' '}{var}{'' if i == 1 else f'^{i}'}"
         return f" - {mag}" if c < 0 else f" + {mag}" if c else ""
 
-    cols = _columns(rows, term)
+    terms = _columns(cols, count, term)
     if descending:
-        cols.reverse()
+        terms.reverse()
     # every term starts " + " or " - ": drop the leading one's spaces and plus
-    return ["-" + t[3:] if t[1:2] == "-" else t[3:] or "0" for t in map("".join, zip(*cols))]
+    return ["-" + t[3:] if t[1:2] == "-" else t[3:] or "0" for t in map("".join, zip(*terms))]
 
 
-def _form_rows(rows: Sequence, den: int) -> list[list[str]]:
-    """_ratio(row[i], den) for the coefficients of each row, trailing zeros
-    dropped.  As in _render_rows, each distinct value of a column is reduced
-    once."""
+def _form_rows(cols: Sequence, count: int, den: int) -> list[list[str]]:
+    """_ratio(c, den) for the coefficients c of each row r < count as in
+    _columns, trailing zeros dropped.  As in _render_rows, each distinct
+    value of a column is reduced once."""
     out = []
-    for row, values in zip(rows, zip(*_columns(rows, lambda i, c: _ratio(c, den)))):
-        width = len(row)
-        while width and not row[width - 1]:
+    for values in zip(*_columns(cols, count, lambda i, c: _ratio(c, den))):
+        width = len(values)
+        while width and values[width - 1] == "0":
             width -= 1
         out.append(list(values[:width]))
     return out

@@ -26,37 +26,48 @@ from .errors import (
     IndexOutOfRange, InsufficientSamples, InvalidArguments, NonUnitConstantTerm, ValidationFailure,
 )
 from .exactnum import (
-    Polynomial, Scalar, _Frozen, _form_rows, _horner, _integer_rows, _polys, _render_rows,
+    Polynomial, Scalar, _Frozen, _columns, _form_rows, _horner, _integer_rows, _polys,
+    _render_rows,
 )
 from .qcore import _box_series, q_binomial, q_binomial_box
+
+
+def _least_period(col: Sequence[int]) -> tuple[int, ...]:
+    """col cut to its least period, a divisor of len(col); col[d:2d] == col[:d]
+    rules most divisors d out before the full test."""
+    n = len(col)
+    d = next((d for d in range(1, n)
+              if n % d == 0 and col[d:2 * d] == col[:d] and col[d:] == col[:n - d]), n)
+    return tuple(col[:d])
 
 
 class Quasipolynomial(_Frozen):
     """One polynomial per residue class: value at m is polys[m mod period](m).
 
-    rows[r] is den times residue r's coefficients, lowest power first; all
-    rows have one length >= 1 and one den > 0 (the fit's d!*period^d).
-    Equality, hash, repr and pickling use the derived polys."""
+    cols[i] (one column at least) is den times the coefficient of m^i at its
+    least period, a divisor of period: residue r reads cols[i][r % len(cols[i])].
+    den > 0 is the fit's d!*period^d; equality, hash, repr and pickling use polys."""
 
-    __slots__ = ("period", "rows", "den")
+    __slots__ = ("period", "cols", "den")
     _fields = ("period", "polys")
 
     def __new__(cls, period: int, polys: tuple[Polynomial, ...]):
         if period < 1 or len(polys) != period:
             raise InvalidArguments("need exactly one polynomial per residue class")
-        return cls._make(period, *_integer_rows(polys))
+        rows, den = _integer_rows(polys)
+        return cls._make(period, tuple(map(_least_period, zip(*rows))), den)
 
     @property
     def polys(self) -> tuple[Polynomial, ...]:
-        return _polys(self.rows, self.den)
+        return _polys(zip(*_columns(self.cols, self.period, lambda i, c: c)), self.den)
 
     @property
     def degree(self) -> int:
-        return max((i for i, col in enumerate(zip(*self.rows)) if any(col)), default=-1)
+        return max((i for i, col in enumerate(self.cols) if any(col)), default=-1)
 
     def _numerator(self, m: int) -> int:
         """den times the value at m, by integer Horner."""
-        return _horner(self.rows[m % self.period], m, 1)
+        return _horner([col[m % len(col)] for col in self.cols], m, 1)
 
     def evaluate(self, m: int) -> Scalar:
         from fractions import Fraction
@@ -65,11 +76,11 @@ class Quasipolynomial(_Frozen):
     def residue_coefficients(self) -> list[list[str]]:
         """Each residue polynomial's coefficients as reduced "a/b" strings
         (integers without "/"), trailing zeros dropped."""
-        return _form_rows(self.rows, self.den)
+        return _form_rows(self.cols, self.period, self.den)
 
     def residue_strings(self, var: str = "q", descending: bool = False) -> list[str]:
         """polys[r].to_string(var, descending) for every residue r."""
-        return _render_rows(self.rows, self.den, var, descending)
+        return _render_rows(self.cols, self.period, self.den, var, descending)
 
     def arg_shifted(self, e: int) -> Quasipolynomial:
         """The quasipolynomial m -> self(m - e)."""
@@ -140,8 +151,9 @@ def fit_quasipolynomial(
         low = [unit * c for c in leads[j]]
         cols = [[a - x * b for a, x, b in zip(lower, nodes, col)]
                 for lower, col in zip([low] + cols, cols)] + (cols[-1:] or [low])
-    rows, turn = tuple(zip(*cols)), -start_index % period  # offset of residue 0
-    return Quasipolynomial._make(period, rows[turn:] + rows[:turn], scale)
+    turn = -start_index % period  # offset of residue 0
+    return Quasipolynomial._make(period, tuple(_least_period(col[turn:] + col[:turn])
+                                               for col in cols), scale)
 
 
 @functools.lru_cache(maxsize=None)
@@ -261,28 +273,24 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
         raise InvalidArguments(f"n={n} too small for k={k}: need n >= {min_region_n(k)}")
     true_coeffs = q_binomial_box(n, k).coeffs
     base, terms = initial_quasipolynomial(k), numerator_expansion(k)
-    period = base.period
-    # F_i, column i of F, at its least period; as (m - e)^i = sum_j C(i, j) m^j (-e)^(i-j),
+    # F_i = base.cols[i], column i of F; as (m - e)^i = sum_j C(i, j) m^j (-e)^(i-j),
     # acc[j][i - j] sums C(i, j) * c * (-e)^(i-j) * F_i(x - e) over the terms so far,
     # and its sum over i, of period lcms[j], is the formula's coefficient of m^j
-    cols = [col[:next(d for d in range(1, period + 1)
-                      if period % d == 0 and col == col[:d] * (period // d))]
-            for col in zip(*base.rows)]
-    acc = [[[0] * len(col) for col in cols[j:]] for j in range(k)]
-    lcms = [math.lcm(*map(len, cols[j:])) for j in range(k)]
+    acc = [[[0] * len(col) for col in base.cols[j:]] for j in range(k)]
+    lcms = [math.lcm(*map(len, base.cols[j:])) for j in range(k)]
 
     regions, left = [], 0
     for r in range(k):
         for c, e in [(t.sign * t.multiplicity, t.exponent(n)) for t in terms if t.block == r]:
             left = max(left, e)
-            for i, col in enumerate(cols):
+            for i, col in enumerate(base.cols):
                 shifted = col[-e % len(col):] + col[:-e % len(col)]
                 for j in range(i + 1):
                     w = c * math.comb(i, j) * (-e) ** (i - j)
                     acc[j][i - j] = [a + w * x for a, x in zip(acc[j][i - j], shifted)]
-        gcols = [[sum(v) for v in zip(*(a * (q // len(a)) for a in sums))] * (period // q)
-                 for q, sums in zip(lcms, acc)]
-        formula = Quasipolynomial._make(period, tuple(zip(*gcols)), base.den)
+        gcols = tuple(_least_period([sum(v) for v in zip(*(a * (q // len(a)) for a in sums))])
+                      for q, sums in zip(lcms, acc))
+        formula = Quasipolynomial._make(base.period, gcols, base.den)
         right = n * k if r == k - 1 else (r + 1) * n + (r + 1) * (r + 2) // 2 - 1
         # at m < left the formula is off by sum c * F(m - e) over active e > m,
         # and by reciprocity the base quasipolynomial F vanishes at -1..1-T and
@@ -301,4 +309,4 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
 def demo_quasipolynomial() -> Quasipolynomial:
     """A period-2 quasipolynomial whose branches visibly fail to mesh:
     10m on even arguments, (m^2 - m)/2 on odd ones."""
-    return Quasipolynomial._make(2, ((0, 20, 0), (0, -1, 1)), 2)
+    return Quasipolynomial._make(2, ((0,), (20, -1), (0, 1)), 2)

@@ -279,10 +279,13 @@ class TestInitialQuasipolynomial:
         # Sylvester's waves: the coefficient of m^i repeats with a period
         # dividing lcm(1..floor(k/(i+1))), and region formulas inherit it
         for k in range(1, 11):
-            rows = initial_quasipolynomial(k).rows
-            for i, col in enumerate(zip(*rows)):
-                p = math.lcm(*range(1, k // (i + 1) + 1))
-                assert all(col[x] == col[x % p] for x in range(len(col))), (k, i)
+            formulas = [initial_quasipolynomial(k)]
+            if k <= 9:
+                formulas += [g.formula for g in region_decomposition(min_region_n(k), k).regions]
+            for f in formulas:
+                assert len(f.cols) == k
+                for i, col in enumerate(f.cols):
+                    assert math.lcm(*range(1, k // (i + 1) + 1)) % len(col) == 0, (k, i)
 
     def test_low_coefficients_do_vary(self):
         # the periodic part is genuinely periodic for k >= 2
@@ -478,7 +481,7 @@ class TestRegionDecomposition:
         expected = series_fit_formulas(n, k)
         for region, fit in zip(region_decomposition(n, k).regions, expected, strict=True):
             assert region.formula == fit
-            assert (region.formula.rows, region.formula.den) == (fit.rows, fit.den)
+            assert (region.formula.cols, region.formula.den) == (fit.cols, fit.den)
 
     @settings(max_examples=15, deadline=None, database=None)
     @given(st.data())
@@ -527,6 +530,13 @@ class TestQuasipolynomialType:
         shifted = q.arg_shifted(7)
         for m in range(7, 40):
             assert shifted.evaluate(m) == q.evaluate(m - 7)
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(st.lists(st.integers(-2, 2), min_size=1, max_size=12), st.integers(1, 4))
+    def test_least_period(self, col, repeats):
+        least = quasi._least_period(col * repeats)
+        assert len(col) % len(least) == 0 and least * (len(col) // len(least)) == tuple(col)
+        assert all(col[d:] != col[:-d] for d in range(1, len(least)) if len(col) % d == 0)
 
     def test_demo_branches(self):
         f = demo_quasipolynomial()

@@ -10,7 +10,10 @@ import pytest
 from qshape.exactnum import Polynomial
 from qshape.measure import convergence_table, measure_from_polynomial
 from qshape.qcore import coefficient_report, q_binomial_box
-from qshape.quasi import SignedTerm, demo_quasipolynomial, region_decomposition
+from qshape.quasi import (
+    Quasipolynomial, SignedTerm, demo_quasipolynomial, initial_quasipolynomial, min_region_n,
+    region_decomposition,
+)
 from qshape.shape import PiecewisePolynomial, limit_shape
 from qshape.svgplot import PlotSpec
 
@@ -94,6 +97,18 @@ def test_piecewise_polynomials_from_the_same_pieces_are_equal():
         assert "_cdf" not in repr(rebuilt) and "_density" not in repr(rebuilt)
     assert limit_shape(3) != limit_shape(4)
     assert limit_shape(2) != PiecewisePolynomial(2, limit_shape(2).pieces[::-1])
+
+
+def test_quasipolynomials_from_the_same_polys_are_equal():
+    # __new__ compresses the polys' columns to their least periods, as the
+    # fit and region assembly do, so it rebuilds the same value
+    for k in range(1, 7):
+        decomp = region_decomposition(min_region_n(k), k)
+        for q in [initial_quasipolynomial(k)] + [g.formula for g in decomp.regions]:
+            rebuilt = Quasipolynomial(q.period, q.polys)
+            assert rebuilt == q and hash(rebuilt) == hash(q)
+            assert [len(col) for col in rebuilt.cols] == [len(col) for col in q.cols]
+            assert pickle.loads(pickle.dumps(q)) == q
 
 
 @pytest.mark.parametrize("kind", ["Polynomial", "Quasipolynomial", "PiecewisePolynomial"])
