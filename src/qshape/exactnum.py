@@ -4,8 +4,9 @@ Arbitrary-precision integers are plain Python ``int``; exact rationals are
 ``fractions.Fraction`` (always reduced, denominator positive).  A polynomial
 is a dense tuple of coefficients, ``coeffs[i]`` holding the coefficient of
 the i-th power.  The zero polynomial is the empty tuple, so the degree is
-always ``len(coeffs) - 1``.  Coefficients may be ``int`` or ``Fraction``;
-all operations are exact and every value is immutable.
+always ``len(coeffs) - 1``.  Coefficients may be ``int`` or ``Fraction``.
+``Polynomial`` is an immutable coefficient record with no ring operators;
+``_mul`` is the one polynomial product.
 """
 from __future__ import annotations
 
@@ -70,14 +71,6 @@ class Polynomial(_Frozen):
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def zero(cls) -> Polynomial:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> Polynomial:
-        return cls((1,))
-
     @property
     def degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
@@ -92,56 +85,16 @@ class Polynomial(_Frozen):
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def __add__(self, other: Polynomial | Scalar) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            other = Polynomial((other,))
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: Polynomial | Scalar) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            other = Polynomial((other,))
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> Polynomial:
-        return Polynomial((other,)) - self
-
-    def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
-        if not isinstance(other, Polynomial):
-            return Polynomial(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Polynomial(())
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.one()
-        base = self
+        result, base = (1,), self.coeffs
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = _mul(result, base)
+            base = _mul(base, base)
             n >>= 1
-        return result
+        return Polynomial(result)
 
     def exact_div(self, den: Polynomial) -> Polynomial:
         """Quotient of an exact division; raises NonzeroRemainder otherwise.
@@ -206,6 +159,19 @@ class Polynomial(_Frozen):
         """Human-readable rendering, rationals as num/den (e.g. "1/2 m + 1")."""
         rows, den = _integer_rows([self])
         return _render_rows(tuple(zip(*rows)), 1, den, var, descending)[0]
+
+
+def _mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
+    """The coefficients of the product of the polynomials with coefficients a
+    and b, by schoolbook multiplication; empty when either is."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
 
 
 def _integer_rows(polys: Sequence[Polynomial]) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -15,12 +15,12 @@ over partitions in a box.
 from __future__ import annotations
 
 import functools
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, zip_longest
+from operator import ge, le, sub
 from typing import NamedTuple
 
 from .errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
-from .exactnum import Polynomial
+from .exactnum import Polynomial, _mul
 
 
 @functools.lru_cache(maxsize=None)
@@ -29,8 +29,8 @@ def q_factorial(n: int) -> Polynomial:
     if n < 0:
         raise InvalidArguments("q_factorial needs n >= 0")
     if n == 0:
-        return Polynomial.one()
-    return q_factorial(n - 1) * Polynomial((1,) * n)
+        return Polynomial((1,))
+    return Polynomial(_mul(q_factorial(n - 1).coeffs, (1,) * n))
 
 
 def q_binomial(n: int, k: int) -> Polynomial:
@@ -83,14 +83,14 @@ def q_binomial_pascal(n: int, k: int) -> Polynomial:
     built bottom-up row by row; row N keeps only columns 0..min(N, k)."""
     if k < 0 or n < 0 or k > n:
         raise InvalidArguments(f"q_binomial_pascal needs 0 <= k <= n, got n={n} k={k}")
-    row = [Polynomial.one()]
+    row = [(1,)]
     for m in range(1, n + 1):
-        nxt = [Polynomial.one()]
+        nxt = [(1,)]
         for j in range(1, min(m, k) + 1):
-            shifted = Polynomial((0,) * j + row[j].coeffs) if j < m else Polynomial.zero()
-            nxt.append(row[j - 1] + shifted)
+            shifted = (0,) * j + row[j] if j < m else ()
+            nxt.append(tuple(map(sum, zip_longest(row[j - 1], shifted, fillvalue=0))))
         row = nxt
-    return row[k]
+    return Polynomial(row[k])
 
 
 def q_binomial_partition_dp(n: int, k: int) -> Polynomial:
@@ -123,29 +123,20 @@ class CoefficientReport(NamedTuple):
 def coefficient_report(p: Polynomial) -> CoefficientReport:
     """Symmetry, unimodality, peak plateau, and coefficient sum of p.
 
-    Unimodality is weak: plateaus are allowed on the way up and down.
+    Unimodality is weak: plateaus are allowed on the way up and down, so p
+    is unimodal when its coefficients rise to the first maximum and fall
+    from there.
     """
     if p.is_zero():
         raise ZeroPolynomial("coefficient_report needs a nonzero polynomial")
     if any(c < 0 for c in p.coeffs):
         raise NegativeCoefficient("coefficient_report needs non-negative coefficients")
     cs = p.coeffs
-    symmetric = cs == cs[::-1]
-    rising = True
-    unimodal = True
-    for a, b in zip(cs, cs[1:]):
-        if rising:
-            if b < a:
-                rising = False
-        elif b > a:
-            unimodal = False
-            break
-    peak = max(cs)
-    first = cs.index(peak)
-    last = len(cs) - 1 - cs[::-1].index(peak)
+    first = cs.index(max(cs))
+    up, down = cs[: first + 1], cs[first:]
     return CoefficientReport(
-        symmetric=symmetric,
-        unimodal=unimodal,
-        peak_index_range=(first, last),
-        total=p.evaluate(1),
+        symmetric=cs == cs[::-1],
+        unimodal=all(map(le, up, up[1:])) and all(map(ge, down, down[1:])),
+        peak_index_range=(first, len(cs) - 1 - cs[::-1].index(cs[first])),
+        total=sum(cs),
     )

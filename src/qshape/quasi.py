@@ -253,8 +253,10 @@ class RegionDecomposition(NamedTuple):
 
 
 def min_region_n(k: int) -> int:
-    """Smallest n for which region_decomposition accepts (n, k)."""
-    return 2 * math.lcm(*range(1, k + 1))
+    """Smallest n for which region_decomposition accepts (n, k): the last
+    region, [left, n*k] with left = (k-1)n + k(k+1)/2 - 1, is nonempty
+    exactly when n >= (k-1)(k+2)/2."""
+    return (k - 1) * (k + 2) // 2
 
 
 def region_decomposition(n: int, k: int) -> RegionDecomposition:

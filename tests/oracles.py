@@ -2,11 +2,36 @@
 they live here as plain functions over the package's types rather than in
 its public API."""
 import math
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 
 from qshape.errors import InvalidArguments
-from qshape.exactnum import Polynomial
+from qshape.exactnum import Polynomial, _mul
 from qshape.quasi import fit_quasipolynomial, numerator_expansion
+
+
+def _promote(x):
+    """x as a Polynomial: a scalar c becomes the constant polynomial c."""
+    return x if isinstance(x, Polynomial) else Polynomial((x,))
+
+
+def add(a, b):
+    """a + b, for polynomials or scalars on either side."""
+    return Polynomial(map(sum, zip_longest(_promote(a).coeffs, _promote(b).coeffs, fillvalue=0)))
+
+
+def neg(p):
+    return Polynomial(-c for c in p.coeffs)
+
+
+def sub(a, b):
+    """a - b, for polynomials or scalars on either side."""
+    return add(a, neg(_promote(b)))
+
+
+def mul(a, b):
+    """a * b, for polynomials or scalars on either side, by the package's
+    one polynomial product."""
+    return Polynomial(_mul(_promote(a).coeffs, _promote(b).coeffs))
 
 
 def monomial(exponent, coefficient=1):

@@ -125,7 +125,7 @@ class TestRegions:
     def test_n_too_small_is_usage_error(self, capsys):
         # the domain check runs before the first line: stdout stays empty
         assert main(["regions", "--n", "5", "--k", "4"]) == 2
-        assert capsys.readouterr() == ("", "qshape: error: n=5 too small for k=4: need n >= 24\n")
+        assert capsys.readouterr() == ("", "qshape: error: n=5 too small for k=4: need n >= 9\n")
 
     def test_zone_values_are_true_coefficients(self, capsys):
         from qshape.qcore import q_binomial_box
@@ -464,6 +464,19 @@ class TestPlot:
             if fill != runs[-1]:
                 runs.append(fill)
         assert runs == ["red", "black", "yellow", "black", "green", "black", "blue"]
+
+    def test_color_regions_below_two_periods(self, tmp_path):
+        # n = 50 < 2 lcm(1..7) = 840: every region of k = 7 is nonempty from n = 27 on
+        out_file = tmp_path / "c.svg"
+        assert main(["plot", "--n", "50", "--k", "7", "--color-regions", "--out", str(out_file)]) == 0
+        fills = bar_fills(out_file.read_text())
+        assert len(fills) == 351
+        runs = [fills[0]]
+        for fill in fills[1:]:
+            if fill != runs[-1]:
+                runs.append(fill)
+        colors = ["red", "yellow", "green", "blue", "orange", "purple", "teal"]
+        assert runs[::2] == colors and set(runs[1::2]) == {"black"}
 
     def test_overlay_polyline_present(self, tmp_path):
         out_file = tmp_path / "p.svg"

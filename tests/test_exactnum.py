@@ -10,7 +10,7 @@ from qshape.exactnum import (
     Polynomial, _horner, _integer_rows, _polys, _ratio, solve_linear_rational,
 )
 
-from oracles import derivative, scale_arg
+from oracles import add, derivative, mul, scale_arg, sub
 
 
 def P(*coeffs):
@@ -24,40 +24,56 @@ polys = st.lists(scalars, max_size=5).map(Polynomial)
 
 class TestArithmetic:
     def test_add_cancellation(self):
-        assert P(1, 1) + P(1, -1) == P(2)
+        assert add(P(1, 1), P(1, -1)) == P(2)
 
     def test_add_identity(self):
         p = P(3, 0, 2)
-        assert p + Polynomial.zero() == p
+        assert add(p, P()) == p
 
     def test_add_direct(self):
-        assert P(1, 1, 1) + P(0, 1, 0, 1) == P(1, 2, 1, 1)
+        assert add(P(1, 1, 1), P(0, 1, 0, 1)) == P(1, 2, 1, 1)
 
     def test_mul_geometric_telescope(self):
-        assert P(1, -1) * P(1, 1, 1) == P(1, 0, 0, -1)
+        assert mul(P(1, -1), P(1, 1, 1)) == P(1, 0, 0, -1)
 
     def test_mul_identity(self):
         p = P(2, 0, -1, 4)
-        assert p * Polynomial.one() == p
+        assert mul(p, P(1)) == p
 
     def test_mul_square(self):
-        assert P(1, 1) * P(1, 1) == P(1, 2, 1)
+        assert mul(P(1, 1), P(1, 1)) == P(1, 2, 1)
 
     def test_mul_degree_adds(self):
         a, b = P(1, 0, 3), P(-2, 5)
-        assert (a * b).degree == a.degree + b.degree
+        assert mul(a, b).degree == a.degree + b.degree
+
+    def test_scalar_operands_are_promoted(self):
+        assert add(2, P(1, 1)) == add(P(1, 1), 2) == P(3, 1)
+        assert sub(1, P(0, 1)) == P(1, -1) and sub(P(0, 1), 1) == P(-1, 1)
+        assert mul(3, P(1, 2)) == mul(P(1, 2), 3) == P(3, 6)
+        assert mul(0, P(1, 2)) == P()
 
     def test_pow(self):
         assert P(1, 1) ** 3 == P(1, 3, 3, 1)
-        assert P(0, 1) ** 0 == Polynomial.one()
+        assert P(0, 1) ** 0 == P(1)
 
     def test_trailing_zeros_trimmed(self):
         assert Polynomial((1, 2, 0, 0)).coeffs == (1, 2)
         assert Polynomial((0, 0)).is_zero()
 
     def test_zero_degree_convention(self):
-        assert Polynomial.zero().degree == -1
-        assert Polynomial.one().degree == 0
+        assert P().degree == -1
+        assert P(1).degree == 0
+
+
+def test_polynomial_is_a_coefficient_record():
+    # the ring arithmetic lives in the test oracles; __pow__, exact_div,
+    # antiderivative and taylor_shift stay while bench/traced_cli.py wraps
+    # them by name
+    removed = {"zero", "one", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+               "__mul__", "__rmul__"}
+    assert removed.isdisjoint(vars(Polynomial))
+    assert {"__pow__", "exact_div", "antiderivative", "taylor_shift"} <= vars(Polynomial).keys()
 
 
 class TestExactDiv:
@@ -66,7 +82,7 @@ class TestExactDiv:
 
     def test_identity_case(self):
         p = P(5, -2, 7)
-        assert p.exact_div(Polynomial.one()) == p
+        assert p.exact_div(P(1)) == p
 
     def test_nonzero_remainder(self):
         with pytest.raises(NonzeroRemainder):
@@ -74,12 +90,12 @@ class TestExactDiv:
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            P(1).exact_div(Polynomial.zero())
+            P(1).exact_div(P())
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(polys, polys.filter(bool))
     def test_mul_then_div_roundtrip(self, a, b):
-        assert (a * b).exact_div(b) == a
+        assert mul(a, b).exact_div(b) == a
 
 
 class TestRingAxioms:
@@ -88,17 +104,17 @@ class TestRingAxioms:
     @settings(max_examples=100, deadline=None, database=None)
     @given(polys, polys, polys)
     def test_axioms_on_random_sample(self, a, b, c):
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(polys)
     def test_self_difference_and_cube(self, p):
-        assert (p - p).is_zero()
-        assert p**3 == p * p * p
+        assert sub(p, p).is_zero()
+        assert p**3 == mul(mul(p, p), p)
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(polys, scalars, scalars)
@@ -108,7 +124,7 @@ class TestRingAxioms:
     @settings(max_examples=100, deadline=None, database=None)
     @given(polys, polys, scalars)
     def test_evaluation_is_multiplicative(self, p, q, x):
-        assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
+        assert mul(p, q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
 
 
 class TestRowKernels:
@@ -128,7 +144,7 @@ class TestRowKernels:
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.lists(polys, min_size=1, max_size=4))
-    @example([Polynomial.zero()])
+    @example([P()])
     def test_polys_inverts_integer_rows(self, ps):
         assert _polys(*_integer_rows(ps)) == tuple(ps)
 
@@ -208,7 +224,7 @@ class TestToString:
     def test_signs_and_units(self):
         assert P(-1, 0, 2).to_string("x", descending=True) == "2 x^2 - 1"
         assert P(0, 1).to_string("x") == "x"
-        assert Polynomial.zero().to_string() == "0"
+        assert P().to_string() == "0"
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(

@@ -114,7 +114,7 @@ class TestMeasureFromPolynomial:
 
     def test_errors(self):
         with pytest.raises(ZeroPolynomial):
-            measure_from_polynomial(Polynomial.zero())
+            measure_from_polynomial(Polynomial(()))
         with pytest.raises(NegativeCoefficient):
             measure_from_polynomial(Polynomial((1, -2, 1)))
 

@@ -28,13 +28,18 @@ from qshape.quasi import (
     region_decomposition,
 )
 
-from oracles import monomial, series_fit_formulas
+from oracles import add, monomial, mul, series_fit_formulas, sub
+
+
+def two_periods(k):
+    """2 lcm(1..k), the least n these tests have long drawn regions from."""
+    return 2 * math.lcm(*range(1, k + 1))
 
 
 def parts_at_most_k_denominator(k):
-    den = Polynomial.one()
+    den = Polynomial((1,))
     for i in range(1, k + 1):
-        den = den * (Polynomial.one() - monomial(i))
+        den = mul(den, sub(1, monomial(i)))
     return den
 
 
@@ -48,20 +53,20 @@ class TestReciprocalSeries:
         assert series[5] == 6
 
     def test_derivative_of_geometric(self):
-        den = Polynomial((1, -1)) * Polynomial((1, -1))
+        den = mul(Polynomial((1, -1)), Polynomial((1, -1)))
         assert reciprocal_series(den, 4) == [1, 2, 3, 4]
 
     def test_non_unit_constant_term(self):
         with pytest.raises(NonUnitConstantTerm):
             reciprocal_series(Polynomial((2, 1)), 3)
         with pytest.raises(NonUnitConstantTerm):
-            reciprocal_series(Polynomial.zero(), 3)
+            reciprocal_series(Polynomial(()), 3)
 
     def test_multiplies_back_to_one(self):
         den = parts_at_most_k_denominator(3)
         count = 30
         series = Polynomial(tuple(reciprocal_series(den, count)))
-        product = series * den
+        product = mul(series, den)
         assert product.coefficient(0) == 1
         assert all(product.coefficient(i) == 0 for i in range(1, count - den.degree))
 
@@ -201,14 +206,14 @@ def shift_and_add_formulas(n, k):
     """Oracle region formulas: region r sums c * base(m - e) over the
     numerator terms c * q^e of blocks <= r, one Taylor shift per term."""
     base = initial_quasipolynomial(k)
-    sums = [Polynomial.zero()] * base.period
+    sums = [Polynomial(())] * base.period
     formulas = []
     for r in range(k):
         for t in numerator_expansion(k):
             if t.block == r:
                 shifted = base.arg_shifted(t.exponent(n))
                 c = t.sign * t.multiplicity
-                sums = [s + p * c for s, p in zip(sums, shifted.polys)]
+                sums = [add(s, mul(p, c)) for s, p in zip(sums, shifted.polys)]
         formulas.append(tuple(sums))
     return formulas
 
@@ -232,7 +237,7 @@ class TestInitialQuasipolynomial:
     def test_k1_constant_one(self):
         q = initial_quasipolynomial(1)
         assert q.period == 1
-        assert q.polys[0] == Polynomial.one()
+        assert q.polys[0] == Polynomial((1,))
 
     def test_k2_floor_formula(self):
         # partitions into parts <= 2: floor(m/2) + 1
@@ -281,7 +286,7 @@ class TestInitialQuasipolynomial:
         for k in range(1, 11):
             formulas = [initial_quasipolynomial(k)]
             if k <= 9:
-                formulas += [g.formula for g in region_decomposition(min_region_n(k), k).regions]
+                formulas += [g.formula for g in region_decomposition(two_periods(k), k).regions]
             for f in formulas:
                 assert len(f.cols) == k
                 for i, col in enumerate(f.cols):
@@ -315,12 +320,12 @@ class TestNumeratorExpansion:
     def test_identity_for_concrete_n(self):
         for k in range(1, 7):
             for n in (0, 1, 2, 5, 17, 30):
-                product = Polynomial.one()
+                product = Polynomial((1,))
                 for i in range(1, k + 1):
-                    product = product * (Polynomial.one() - monomial(n + i))
-                total = Polynomial.zero()
+                    product = mul(product, sub(1, monomial(n + i)))
+                total = Polynomial(())
                 for t in numerator_expansion(k):
-                    total = total + monomial(t.exponent(n), t.sign * t.multiplicity)
+                    total = add(total, monomial(t.exponent(n), t.sign * t.multiplicity))
                 assert total == product
 
 
@@ -371,7 +376,7 @@ class TestRegionDecomposition:
         assert decomp.transition_zones == ()
         region = decomp.regions[0]
         assert (region.left, region.right) == (0, 50)
-        assert region.formula.polys[0] == Polynomial.one()
+        assert region.formula.polys[0] == Polynomial((1,))
 
     def test_regions_and_zones_tile_domain(self):
         for n, k in ((50, 4), (40, 3), (16, 2)):
@@ -424,7 +429,7 @@ class TestRegionDecomposition:
     @given(st.data())
     def test_valid_from_matches_scan_property(self, data):
         k = data.draw(st.integers(1, 6), label="k")
-        n = data.draw(st.integers(min_region_n(k), 3 * min_region_n(k)), label="n")
+        n = data.draw(st.integers(two_periods(k), 3 * two_periods(k)), label="n")
         true = q_binomial_box(n, k).coeffs
         spill = k * (k + 1) // 2 - 1
         for region in region_decomposition(n, k).regions:
@@ -474,7 +479,22 @@ class TestRegionDecomposition:
     def test_n_too_small(self):
         with pytest.raises(InvalidArguments):
             region_decomposition(5, 4)
-        assert min_region_n(4) == 24
+        with pytest.raises(InvalidArguments, match="need n >= 9"):
+            region_decomposition(8, 4)
+        assert min_region_n(4) == 9
+
+    def test_formulas_match_coefficients_from_the_least_n(self):
+        # from n = (k-1)(k+2)/2 on, the last region [(k-1)n + k(k+1)/2 - 1, nk]
+        # is nonempty and every formula holds exactly from its valid_from
+        for k in range(2, 9):
+            assert min_region_n(k) == (k - 1) * (k + 2) // 2
+            for n in range(min_region_n(k), min_region_n(k) + 31):
+                true = q_binomial_box(n, k).coeffs
+                for region in region_decomposition(n, k).regions:
+                    f, start = region.formula, region.valid_from
+                    assert start <= region.left <= region.right, (n, k, region.index)
+                    assert all(f.evaluate(m) == true[m] for m in range(start, region.right + 1))
+                    assert start == 0 or f.evaluate(start - 1) != true[start - 1], (n, k)
 
     @pytest.mark.parametrize("n, k", [(16, 2), (24, 4), (2520, 8), (5040, 9)])
     def test_formulas_match_series_fit(self, n, k):
@@ -487,7 +507,7 @@ class TestRegionDecomposition:
     @given(st.data())
     def test_formulas_match_series_fit_property(self, data):
         k = data.draw(st.integers(1, 7), label="k")
-        n = data.draw(st.integers(min_region_n(k), 3 * min_region_n(k)), label="n")
+        n = data.draw(st.integers(two_periods(k), 3 * two_periods(k)), label="n")
         regions = region_decomposition(n, k).regions
         assert [region.formula for region in regions] == series_fit_formulas(n, k)
 
@@ -501,7 +521,7 @@ class TestRegionDecomposition:
     @given(st.data())
     def test_formulas_match_coefficients_property(self, data):
         k = data.draw(st.integers(1, 5), label="k")
-        n = data.draw(st.integers(min_region_n(k), 3 * min_region_n(k)), label="n")
+        n = data.draw(st.integers(two_periods(k), 3 * two_periods(k)), label="n")
         true = q_binomial_box(n, k).coeffs
         for region in region_decomposition(n, k).regions:
             f = region.formula

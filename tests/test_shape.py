@@ -15,7 +15,7 @@ from qshape.shape import (
     limit_shape,
 )
 
-from oracles import derivative, scale_arg
+from oracles import add, derivative, mul, scale_arg, sub
 
 
 def convolved_uniform_pieces(k):
@@ -25,18 +25,18 @@ def convolved_uniform_pieces(k):
     Convolving f with the uniform gives (F(t) - F(t-1)) where F is the
     running antiderivative of f; everything stays exact over Fractions.
     """
-    pieces = [Polynomial.one()]  # k = 1: the uniform density itself
+    pieces = [Polynomial((1,))]  # k = 1: the uniform density itself
     for _ in range(k - 1):
         antis = []
         total = Fraction(0)
         for i, piece in enumerate(pieces):
             anti = piece.antiderivative()
             # antiderivative matching the running integral at the left end
-            antis.append(anti + (total - anti.evaluate(i)))
+            antis.append(add(anti, total - anti.evaluate(i)))
             total += anti.evaluate(i + 1) - anti.evaluate(i)
         running = antis + [Polynomial((total,))]  # constant after the support
         pieces = [
-            running[i] - (running[i - 1].taylor_shift(-1) if i else Polynomial.zero())
+            sub(running[i], running[i - 1].taylor_shift(-1) if i else Polynomial(()))
             for i in range(len(pieces) + 1)
         ]
     return pieces
@@ -78,10 +78,10 @@ def random_shape(data, k):
 def power_sum_pieces(k):
     """Oracle: L_k's pieces as Fraction polynomials, k/(k-1)! times the
     prefix sums of (-1)^j C(k,j) (k x - j)^(k-1) by polynomial powers."""
-    pieces, piece = [], Polynomial.zero()
+    pieces, piece = [], Polynomial(())
     for j in range(k):
-        piece = piece + Polynomial((-j, k)) ** (k - 1) * ((-1) ** j * math.comb(k, j))
-        pieces.append(piece * Fraction(k, math.factorial(k - 1)))
+        piece = add(piece, mul(Polynomial((-j, k)) ** (k - 1), (-1) ** j * math.comb(k, j)))
+        pieces.append(mul(piece, Fraction(k, math.factorial(k - 1))))
     return tuple(pieces)
 
 
@@ -94,7 +94,7 @@ class TestLimitShapePieces:
         assert shape.pieces[2] == Polynomial((Fraction(27, 2), -27, Fraction(27, 2)))
 
     def test_k1_uniform(self):
-        assert limit_shape(1).pieces == (Polynomial.one(),)
+        assert limit_shape(1).pieces == (Polynomial((1,)),)
 
     def test_k2_triangle(self):
         shape = limit_shape(2)
@@ -105,7 +105,7 @@ class TestLimitShapePieces:
         with pytest.raises(InvalidArguments):
             PiecewisePolynomial(2, ())
         with pytest.raises(InvalidArguments):
-            PiecewisePolynomial(3, (Polynomial.one(),))
+            PiecewisePolynomial(3, (Polynomial((1,)),))
 
     def test_matches_power_sum_oracle(self):
         for k in range(1, 16):
@@ -117,7 +117,7 @@ class TestLimitShapePieces:
             oracle = convolved_uniform_pieces(k)
             shape = limit_shape(k)
             for i, piece in enumerate(shape.pieces):
-                assert piece == scale_arg(oracle[i], k) * k
+                assert piece == mul(scale_arg(oracle[i], k), k)
 
 
 class TestEvaluate:
@@ -229,7 +229,7 @@ class TestIntegerKernel:
         for i, piece in enumerate(shape.pieces):
             anti = piece.antiderivative()
             left = anti.evaluate(Fraction(i, shape.k))
-            cdf_pieces.append(anti + (below - left))
+            cdf_pieces.append(add(anti, below - left))
             below += anti.evaluate(Fraction(i + 1, shape.k)) - left
         assert shape._density == _integer_rows(shape.pieces)
         assert shape._cdf == _integer_rows(cdf_pieces)

@@ -2,6 +2,7 @@
 assigned, equal values compare and hash equal, repr names the fields, and
 pickling round-trips."""
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -11,8 +12,7 @@ from qshape.exactnum import Polynomial
 from qshape.measure import convergence_table, measure_from_polynomial
 from qshape.qcore import coefficient_report, q_binomial_box
 from qshape.quasi import (
-    Quasipolynomial, SignedTerm, demo_quasipolynomial, initial_quasipolynomial, min_region_n,
-    region_decomposition,
+    Quasipolynomial, SignedTerm, demo_quasipolynomial, initial_quasipolynomial, region_decomposition,
 )
 from qshape.shape import PiecewisePolynomial, limit_shape
 from qshape.svgplot import PlotSpec
@@ -103,7 +103,7 @@ def test_quasipolynomials_from_the_same_polys_are_equal():
     # __new__ compresses the polys' columns to their least periods, as the
     # fit and region assembly do, so it rebuilds the same value
     for k in range(1, 7):
-        decomp = region_decomposition(min_region_n(k), k)
+        decomp = region_decomposition(2 * math.lcm(*range(1, k + 1)), k)
         for q in [initial_quasipolynomial(k)] + [g.formula for g in decomp.regions]:
             rebuilt = Quasipolynomial(q.period, q.polys)
             assert rebuilt == q and hash(rebuilt) == hash(q)
