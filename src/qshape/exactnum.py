@@ -23,9 +23,9 @@ Scalar = Union[int, "Fraction"]
 
 
 class _Frozen:
-    """Immutable value object over the fields named in ``_fields``: equality,
-    hash, repr and pickling use those fields, and assignment raises
-    AttributeError.  Subclasses set their slots once, in __init__ or _make."""
+    """Immutable value object: equality, hash and pickling use the stored
+    ``__slots__``, which subclasses set once, in one canonical form; repr shows
+    the fields named in ``_fields``, and assignment raises AttributeError."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -39,7 +39,7 @@ class _Frozen:
         return self
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
@@ -59,7 +59,7 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return self._make, self._values()
 
 
 class Polynomial(_Frozen):
@@ -180,6 +180,12 @@ def _integer_rows(polys: Sequence[Polynomial]) -> tuple[tuple[tuple[int, ...], .
     den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
     padded = (p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys)
     return tuple(tuple(c.numerator * den // c.denominator for c in row) for row in padded), den
+
+
+def _lowest_terms(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple, int]:
+    """rows/den (den > 0) with the common gcd of den and every entry divided out."""
+    g = math.gcd(den, *(c for row in rows for c in row))
+    return tuple(tuple(c // g for c in row) for row in rows), den // g
 
 
 def _ratio(a: int, b: int) -> str:

@@ -26,8 +26,8 @@ from .errors import (
     IndexOutOfRange, InsufficientSamples, InvalidArguments, NonUnitConstantTerm, ValidationFailure,
 )
 from .exactnum import (
-    Polynomial, Scalar, _Frozen, _columns, _form_rows, _horner, _integer_rows, _polys,
-    _render_rows,
+    Polynomial, Scalar, _Frozen, _columns, _form_rows, _horner, _integer_rows, _lowest_terms,
+    _polys, _render_rows,
 )
 from .qcore import _box_series, q_binomial, q_binomial_box
 
@@ -44,9 +44,9 @@ def _least_period(col: Sequence[int]) -> tuple[int, ...]:
 class Quasipolynomial(_Frozen):
     """One polynomial per residue class: value at m is polys[m mod period](m).
 
-    cols[i] (one column at least) is den times the coefficient of m^i at its
-    least period, a divisor of period: residue r reads cols[i][r % len(cols[i])].
-    den > 0 is the fit's d!*period^d; equality, hash, repr and pickling use polys."""
+    cols[i] is den times the coefficient of m^i at its least period, a divisor
+    of period: residue r reads cols[i][r % len(cols[i])].  Stored in lowest
+    terms (_canonical); repr shows period and polys."""
 
     __slots__ = ("period", "cols", "den")
     _fields = ("period", "polys")
@@ -55,7 +55,16 @@ class Quasipolynomial(_Frozen):
         if period < 1 or len(polys) != period:
             raise InvalidArguments("need exactly one polynomial per residue class")
         rows, den = _integer_rows(polys)
-        return cls._make(period, tuple(map(_least_period, zip(*rows))), den)
+        return cls._canonical(period, zip(*rows), den)
+
+    @classmethod
+    def _canonical(cls, period: int, cols, den: int) -> Quasipolynomial:
+        """cols/den (column lengths dividing period) in lowest terms: columns at their
+        least periods, all-zero top ones dropped (one stays), common gcd divided out."""
+        cols = list(map(_least_period, cols))
+        while len(cols) > 1 and cols[-1] == (0,):
+            cols.pop()
+        return cls._make(period, *_lowest_terms(cols, den))
 
     @property
     def polys(self) -> tuple[Polynomial, ...]:
@@ -63,7 +72,7 @@ class Quasipolynomial(_Frozen):
 
     @property
     def degree(self) -> int:
-        return max((i for i, col in enumerate(self.cols) if any(col)), default=-1)
+        return len(self.cols) - 1 if any(self.cols[-1]) else -1
 
     def _numerator(self, m: int) -> int:
         """den times the value at m, by integer Horner."""
@@ -152,8 +161,7 @@ def fit_quasipolynomial(
         cols = [[a - x * b for a, x, b in zip(lower, nodes, col)]
                 for lower, col in zip([low] + cols, cols)] + (cols[-1:] or [low])
     turn = -start_index % period  # offset of residue 0
-    return Quasipolynomial._make(period, tuple(_least_period(col[turn:] + col[:turn])
-                                               for col in cols), scale)
+    return Quasipolynomial._canonical(period, (col[turn:] + col[:turn] for col in cols), scale)
 
 
 @functools.lru_cache(maxsize=None)
@@ -290,9 +298,9 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
                 for j in range(i + 1):
                     w = c * math.comb(i, j) * (-e) ** (i - j)
                     acc[j][i - j] = [a + w * x for a, x in zip(acc[j][i - j], shifted)]
-        gcols = tuple(_least_period([sum(v) for v in zip(*(a * (q // len(a)) for a in sums))])
-                      for q, sums in zip(lcms, acc))
-        formula = Quasipolynomial._make(base.period, gcols, base.den)
+        gcols = ([sum(v) for v in zip(*(a * (q // len(a)) for a in sums))]
+                 for q, sums in zip(lcms, acc))
+        formula = Quasipolynomial._canonical(base.period, gcols, base.den)
         right = n * k if r == k - 1 else (r + 1) * n + (r + 1) * (r + 2) // 2 - 1
         # at m < left the formula is off by sum c * F(m - e) over active e > m,
         # and by reciprocity the base quasipolynomial F vanishes at -1..1-T and

@@ -19,7 +19,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import InvalidArguments, OutOfDomain
-from .exactnum import Polynomial, Scalar, _Frozen, _horner, _integer_rows, _polys
+from .exactnum import Polynomial, Scalar, _Frozen, _horner, _integer_rows, _lowest_terms, _polys
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -31,8 +31,7 @@ def _reduced(rows, den: int):
     width = len(rows[0])
     while width > 1 and not any(row[width - 1] for row in rows):
         width -= 1
-    g = math.gcd(den, *(c for row in rows for c in row))
-    return tuple(tuple(c // g for c in row[:width]) for row in rows), den // g
+    return _lowest_terms([row[:width] for row in rows], den)
 
 
 class PiecewisePolynomial(_Frozen):
@@ -41,8 +40,8 @@ class PiecewisePolynomial(_Frozen):
     Stores integer rows over one denominator for the pieces and for the CDF
     (each piece's antiderivative plus the prefix sum of the earlier pieces'
     integrals), both computed in integers; evaluation is integer arithmetic
-    and the pieces are derived on access.  Equality, hash, repr and
-    pickling use k and pieces.
+    and the pieces are derived on access.  Both tables are in lowest terms
+    (_reduced), so equality reads them; repr shows k and pieces.
     """
 
     __slots__ = ("k", "_density", "_cdf")

@@ -560,6 +560,9 @@ class TestQuasipolynomialType:
 
     def test_demo_branches(self):
         f = demo_quasipolynomial()
+        # built by _make, and already in the lowest terms that _canonical stores
+        canonical = Quasipolynomial._canonical(f.period, f.cols, f.den)
+        assert (canonical.cols, canonical.den) == (f.cols, f.den)
         assert f.evaluate(6) == 60
         assert f.evaluate(7) == 21
         assert [f.evaluate(m) for m in range(5)] == [0, 0, 20, 3, 40]

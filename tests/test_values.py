@@ -1,6 +1,7 @@
 """Value semantics of the package's immutable types: fields cannot be
 assigned, equal values compare and hash equal, repr names the fields, and
-pickling round-trips."""
+pickling round-trips.  The slots types store each value in one form, so
+pickling and copying restore every slot as it was."""
 import copy
 import math
 import pickle
@@ -92,7 +93,8 @@ def test_piecewise_polynomials_from_the_same_pieces_are_equal():
         shape = limit_shape(k)
         rebuilt = PiecewisePolynomial(k, tuple(Polynomial(p.coeffs) for p in shape.pieces))
         assert rebuilt == shape and hash(rebuilt) == hash(shape)
-        # the precomputed tables take no part in equality or repr
+        # the tables are in lowest terms, so equality compares them; repr
+        # shows the pieces instead
         assert rebuilt._cdf == shape._cdf
         assert "_cdf" not in repr(rebuilt) and "_density" not in repr(rebuilt)
     assert limit_shape(3) != limit_shape(4)
@@ -100,15 +102,44 @@ def test_piecewise_polynomials_from_the_same_pieces_are_equal():
 
 
 def test_quasipolynomials_from_the_same_polys_are_equal():
-    # __new__ compresses the polys' columns to their least periods, as the
-    # fit and region assembly do, so it rebuilds the same value
+    # __new__, the fit and region assembly all store in lowest terms
+    # (Quasipolynomial._canonical), so rebuilding from polys stores the same
+    # columns over the same denominator
     for k in range(1, 7):
         decomp = region_decomposition(2 * math.lcm(*range(1, k + 1)), k)
         for q in [initial_quasipolynomial(k)] + [g.formula for g in decomp.regions]:
             rebuilt = Quasipolynomial(q.period, q.polys)
             assert rebuilt == q and hash(rebuilt) == hash(q)
-            assert [len(col) for col in rebuilt.cols] == [len(col) for col in q.cols]
+            assert (rebuilt.cols, rebuilt.den) == (q.cols, q.den)
             assert pickle.loads(pickle.dumps(q)) == q
+
+
+@pytest.mark.parametrize("kind", ["Polynomial", "Quasipolynomial", "PiecewisePolynomial"])
+def test_pickle_and_copy_keep_every_slot(kind):
+    values = [build(kind)]
+    if kind == "Quasipolynomial":
+        values.append(initial_quasipolynomial(6))
+    if kind == "PiecewisePolynomial":
+        values.append(limit_shape(6))
+    for value in values:
+        slots = [getattr(value, name) for name in type(value).__slots__]
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert [getattr(clone, name) for name in type(value).__slots__] == slots
+
+
+def test_pickles_of_the_field_form_still_load():
+    # pickles written when __reduce__ gave (type, fields) call the constructor
+    old = (b"\x80\x02cqshape.quasi\nQuasipolynomial\nq\x00K\x02cqshape.exactnum\nPolynomial\nq"
+           b"\x01cfractions\nFraction\nq\x02K\x00K\x01\x86q\x03Rq\x04h\x02K\nK\x01\x86q\x05Rq"
+           b"\x06\x86q\x07\x85q\x08Rq\th\x01h\x02K\x00K\x01\x86q\nRq\x0bh\x02J\xff\xff\xff\xffK"
+           b"\x02\x86q\x0cRq\rh\x02K\x01K\x02\x86q\x0eRq\x0f\x87q\x10\x85q\x11Rq\x12\x86q\x13"
+           b"\x86q\x14Rq\x15.")
+    value = pickle.loads(old)
+    assert value == demo_quasipolynomial()
+    assert (value.cols, value.den) == (demo_quasipolynomial().cols, demo_quasipolynomial().den)
+    for kind in ("Polynomial", "PiecewisePolynomial"):
+        value = build(kind)
+        assert type(value)(*(getattr(value, name) for name in type(value)._fields)) == value
 
 
 @pytest.mark.parametrize("kind", ["Polynomial", "Quasipolynomial", "PiecewisePolynomial"])
