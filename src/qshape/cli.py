@@ -9,6 +9,7 @@ the one writer of stdout and maps errors to exit statuses.
 """
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -289,7 +290,17 @@ def _parse(argv: list[str]):
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Run one request and return its exit status.  With no argv, main runs
+    as the program (`python -m qshape.cli`, the `qshape` script) on
+    sys.argv and, once the output is flushed, freezes the collector: the
+    process exits next, and interpreter shutdown then skips the collection
+    passes over objects that the OS frees anyway.  main(argv) never freezes."""
+    if argv is None:
+        try:
+            return main(sys.argv[1:])
+        finally:
+            gc.freeze()
+    argv = list(argv)
     try:
         code = 0
         if argv == ["--version"]:

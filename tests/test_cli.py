@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -621,6 +622,88 @@ class TestClosedPipe:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (1, b"")
+
+
+def run_probe(probe, closed):
+    """Run `probe` in a new interpreter, stderr captured as text and stdout
+    discarded or, with `closed`, a pipe whose reader has gone."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-c", probe], env=cli_env(),
+                              stdout=write_end if closed else subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+
+
+class TestProgramExit:
+    """Run as a program, main freezes the collector before the process exits;
+    called with an argv, it leaves its caller's collector alone."""
+
+    # a request for each exit path: (argv, Python run before main, stdout
+    # closed, status); the internal error is a product kernel that raises
+    @pytest.mark.parametrize("argv, setup, closed, status", [
+        pytest.param(["qbinom", "--n", "2", "--k", "2"], "", False, 0, id="success"),
+        pytest.param(["qbinom", "--n", "-1", "--k", "2"], "", False, 2, id="usage-error"),
+        pytest.param(["regions", "--n", "5", "--k", "4"], "", False, 2, id="domain-error"),
+        pytest.param(["qbinom", "--n", "2000", "--k", "8"], "", True, 1, id="closed-stdout"),
+        pytest.param(["qbinom", "--n", "2", "--k", "2"],
+                     "import qshape.qcore\n"
+                     "def boom(n, k): raise RuntimeError('boom')\n"
+                     "qshape.qcore.q_binomial_box = boom\n", False, 1, id="internal-error"),
+    ])
+    def test_program_run_freezes_the_collector(self, argv, setup, closed, status):
+        # what the `qshape` console script does: set sys.argv, call main()
+        probe = (
+            "import gc, sys\n" + setup +
+            f"sys.argv = ['qshape', *{argv!r}]\n"
+            "from qshape.cli import main\n"
+            "code = main()\n"
+            "print(code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        )
+        done = run_probe(probe, closed)
+        assert done.returncode == 0
+        assert done.stderr.splitlines()[-1] == f"{status} True"
+
+    @pytest.mark.parametrize("argv, status", [
+        (["qbinom", "--n", "2", "--k", "2"], 0),
+        (["qbinom", "--n", "-1", "--k", "2"], 2),
+        (["regions", "--n", "5", "--k", "4"], 2),
+    ])
+    def test_main_with_argv_does_not_freeze(self, argv, status, capsys):
+        before = gc.get_freeze_count()
+        assert main(argv) == status
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, closed, status", [
+        (["qbinom", "--n", "2", "--k", "2"], False, 0),
+        (["qbinom", "--n", "-1", "--k", "2"], False, 2),
+        (["qbinom", "--n", "2000", "--k", "8"], True, 1),
+    ], ids=["success", "usage-error", "closed-stdout"])
+    def test_exit_status_and_atexit_survive_the_freeze(self, argv, closed, status):
+        # `python -m qshape.cli` runs the module as __main__, which exits
+        # through sys.exit(main()); a handler registered before still runs
+        probe = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+            f"sys.argv = ['qshape', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('qshape.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print('exit', repr(exc.code), file=sys.stderr)\n"
+            "    raise\n"
+        )
+        done = run_probe(probe, closed)
+        assert done.returncode == status
+        assert done.stderr.splitlines()[-2:] == [f"exit {status}", "atexit ran"]
+
+    def test_profiler_report_survives_the_freeze(self):
+        done = subprocess.run([sys.executable, "-m", "cProfile", "-m", "qshape.cli", "--version"],
+                              env=cli_env(), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.startswith(f"qshape {qshape.__version__}\n")
+        assert "function calls" in done.stdout and "Ordered by:" in done.stdout
 
 
 # stdout, stderr and exit status at COLUMNS=80, as argparse wrote them before
