@@ -158,15 +158,12 @@ def cmd_plot(args):
             raise InvalidArguments("plot needs --n and --k (or --demo)")
         fills = None
         if args.color_regions:
-            from .quasi import region_decomposition
+            from .quasi import _region_intervals
 
-            decomp = region_decomposition(args.n, args.k)
-            coeffs = decomp.coeffs
-            fills = region_fills(len(coeffs), decomp.regions)
-        else:
-            from .qcore import q_binomial_box
+            fills = region_fills(args.n * args.k + 1, _region_intervals(args.n, args.k))
+        from .qcore import q_binomial_box
 
-            coeffs = q_binomial_box(args.n, args.k).coeffs
+        coeffs = q_binomial_box(args.n, args.k).coeffs
         overlay = None
         if args.overlay:
             from .shape import limit_shape

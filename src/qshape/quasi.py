@@ -237,9 +237,12 @@ class Region(NamedTuple):
     [left, right] is the conservative interval where every numerator term of
     blocks <= index applies in full, so the formula provably matches the
     coefficients there; these intervals tile [0, n*k] together with the
-    transition zones.  valid_from is the smallest m from which the formula
-    matches the true coefficients all the way to right: by reciprocity, 0 for
-    region 0 and left - k(k+1)/2 + 1 for the others, so formulas overlap.
+    transition zones.  Region r of (n, k) has left = r*n + r(r+1)/2 + r(k-r),
+    the largest block-r exponent ([k choose r]_q has degree r(k-r)), and right
+    = (r+1)*n + (r+1)(r+2)/2 - 1, just below the smallest block-(r+1) exponent,
+    or n*k for the last region.  valid_from is the smallest m from which the
+    formula matches the true coefficients all the way to right: by reciprocity,
+    0 for region 0 and left - k(k+1)/2 + 1 for the others, so formulas overlap.
     """
 
     index: int
@@ -261,10 +264,19 @@ class RegionDecomposition(NamedTuple):
 
 
 def min_region_n(k: int) -> int:
-    """Smallest n for which region_decomposition accepts (n, k): the last
-    region, [left, n*k] with left = (k-1)n + k(k+1)/2 - 1, is nonempty
-    exactly when n >= (k-1)(k+2)/2."""
+    """Least n accepted for k: from it on, the last region (see Region) is nonempty."""
     return (k - 1) * (k + 2) // 2
+
+
+def _region_intervals(n: int, k: int) -> list[tuple[int, int]]:
+    """(left, right) of regions 0..k-1 of (n, k) in closed form (see Region)."""
+    if k < 1:
+        raise InvalidArguments("needs k >= 1")
+    if n < min_region_n(k):
+        raise InvalidArguments(f"n={n} too small for k={k}: need n >= {min_region_n(k)}")
+    return [(r * n + r * (r + 1) // 2 + r * (k - r),
+             n * k if r == k - 1 else (r + 1) * n + (r + 1) * (r + 2) // 2 - 1)
+            for r in range(k)]
 
 
 def region_decomposition(n: int, k: int) -> RegionDecomposition:
@@ -272,15 +284,10 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
     regions plus the transition zones between them.
 
     Region r's formula is G_r(m) = sum c * F(m - e) over the numerator terms
-    c * q^e of blocks <= r, F the base quasipolynomial.  It holds from its left
-    endpoint on, the largest such e, where the last block-r term starts
-    applying in full, up to its right endpoint just below the smallest
-    block-(r+1) exponent.  The zone widths depend on k only.
+    c * q^e of blocks <= r, F the base quasipolynomial; it holds on the
+    region's interval (see Region).  The zone widths depend on k only.
     """
-    if k < 1:
-        raise InvalidArguments("needs k >= 1")
-    if n < min_region_n(k):
-        raise InvalidArguments(f"n={n} too small for k={k}: need n >= {min_region_n(k)}")
+    intervals = _region_intervals(n, k)
     true_coeffs = q_binomial_box(n, k).coeffs
     base, terms = initial_quasipolynomial(k), numerator_expansion(k)
     # F_i = base.cols[i], column i of F; as (m - e)^i = sum_j C(i, j) m^j (-e)^(i-j),
@@ -289,10 +296,9 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
     acc = [[[0] * len(col) for col in base.cols[j:]] for j in range(k)]
     lcms = [math.lcm(*map(len, base.cols[j:])) for j in range(k)]
 
-    regions, left = [], 0
-    for r in range(k):
+    regions = []
+    for r, (left, right) in enumerate(intervals):
         for c, e in [(t.sign * t.multiplicity, t.exponent(n)) for t in terms if t.block == r]:
-            left = max(left, e)
             for i, col in enumerate(base.cols):
                 shifted = col[-e % len(col):] + col[:-e % len(col)]
                 for j in range(i + 1):
@@ -301,7 +307,6 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
         gcols = ([sum(v) for v in zip(*(a * (q // len(a)) for a in sums))]
                  for q, sums in zip(lcms, acc))
         formula = Quasipolynomial._canonical(base.period, gcols, base.den)
-        right = n * k if r == k - 1 else (r + 1) * n + (r + 1) * (r + 2) // 2 - 1
         # at m < left the formula is off by sum c * F(m - e) over active e > m,
         # and by reciprocity the base quasipolynomial F vanishes at -1..1-T and
         # F(-T) = +-1, with T = k(k+1)/2

@@ -98,12 +98,10 @@ def render_svg(spec: PlotSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def region_fills(num_bars: int, regions) -> tuple[str, ...]:
-    """Per-bar fill colors from region intervals; uncovered bars (the
-    transition zones) come out black."""
+def region_fills(num_bars: int, intervals) -> tuple[str, ...]:
+    """Per-bar fill colors from the regions' (left, right) intervals, in region
+    order; uncovered bars (the transition zones) come out black."""
     fills = [ZONE_FILL] * num_bars
-    for region in regions:
-        color = REGION_PALETTE[region.index % len(REGION_PALETTE)]
-        for i in range(region.left, region.right + 1):
-            fills[i] = color
+    for r, (left, right) in enumerate(intervals):
+        fills[left:right + 1] = [REGION_PALETTE[r % len(REGION_PALETTE)]] * (right + 1 - left)
     return tuple(fills)

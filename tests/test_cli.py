@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import os
@@ -28,6 +29,11 @@ def run(capsys, *argv):
 
 def bar_fills(svg_text):
     return re.findall(r'<rect class="bar"[^>]*fill="([^"]+)"', svg_text)
+
+
+def fill_runs(svg_text):
+    """The bar fills with each run of equal neighbours cut to one."""
+    return [fill for fill, _ in itertools.groupby(bar_fills(svg_text))]
 
 
 def polyline(svg_text):
@@ -458,26 +464,49 @@ class TestPlot:
     def test_color_regions_bands(self, tmp_path):
         out_file = tmp_path / "c.svg"
         main(["plot", "--n", "50", "--k", "4", "--color-regions", "--out", str(out_file)])
-        fills = bar_fills(out_file.read_text())
-        assert len(fills) == 201
-        runs = [fills[0]]
-        for fill in fills[1:]:
-            if fill != runs[-1]:
-                runs.append(fill)
-        assert runs == ["red", "black", "yellow", "black", "green", "black", "blue"]
+        svg = out_file.read_text()
+        assert len(bar_fills(svg)) == 201
+        assert fill_runs(svg) == ["red", "black", "yellow", "black", "green", "black", "blue"]
 
     def test_color_regions_below_two_periods(self, tmp_path):
         # n = 50 < 2 lcm(1..7) = 840: every region of k = 7 is nonempty from n = 27 on
         out_file = tmp_path / "c.svg"
         assert main(["plot", "--n", "50", "--k", "7", "--color-regions", "--out", str(out_file)]) == 0
-        fills = bar_fills(out_file.read_text())
-        assert len(fills) == 351
-        runs = [fills[0]]
-        for fill in fills[1:]:
-            if fill != runs[-1]:
-                runs.append(fill)
+        svg = out_file.read_text()
+        assert len(bar_fills(svg)) == 351
+        runs = fill_runs(svg)
         colors = ["red", "yellow", "green", "blue", "orange", "purple", "teal"]
         assert runs[::2] == colors and set(runs[1::2]) == {"black"}
+
+    def test_color_regions_palette_wraps_after_eight(self, tmp_path):
+        # n = 44 is the least n for k = 9: region 8 takes the first color again
+        out_file = tmp_path / "c.svg"
+        assert main(["plot", "--n", "44", "--k", "9", "--color-regions", "--out", str(out_file)]) == 0
+        runs = fill_runs(out_file.read_text())
+        colors = ["red", "yellow", "green", "blue", "orange", "purple", "teal", "magenta", "red"]
+        assert runs[::2] == colors and set(runs[1::2]) == {"black"}
+
+    def test_color_regions_builds_no_region_formulas(self, monkeypatch, tmp_path):
+        # the fills need only the region intervals, which have a closed form
+        import qshape.quasi
+
+        argv = ["plot", "--n", "50", "--k", "4", "--color-regions", "--out"]
+        plain, patched = tmp_path / "plain.svg", tmp_path / "patched.svg"
+        assert main(argv + [str(plain)]) == 0
+
+        def fail(*args):
+            raise AssertionError("plot --color-regions assembled region formulas")
+
+        for name in ("region_decomposition", "initial_quasipolynomial"):
+            monkeypatch.setattr(qshape.quasi, name, fail)
+        assert main(argv + [str(patched)]) == 0
+        assert patched.read_bytes() == plain.read_bytes()
+
+    def test_color_regions_n_too_small_is_usage_error(self, tmp_path, capsys):
+        out_file = tmp_path / "c.svg"
+        assert main(["plot", "--n", "8", "--k", "4", "--color-regions", "--out", str(out_file)]) == 2
+        assert capsys.readouterr() == ("", "qshape: error: n=8 too small for k=4: need n >= 9\n")
+        assert not out_file.exists()
 
     def test_overlay_polyline_present(self, tmp_path):
         out_file = tmp_path / "p.svg"

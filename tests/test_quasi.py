@@ -482,6 +482,25 @@ class TestRegionDecomposition:
         with pytest.raises(InvalidArguments, match="need n >= 9"):
             region_decomposition(8, 4)
         assert min_region_n(4) == 9
+        with pytest.raises(InvalidArguments, match="^n=43 too small for k=9: need n >= 44$"):
+            quasi._region_intervals(43, 9)
+        with pytest.raises(InvalidArguments, match="^needs k >= 1$"):
+            quasi._region_intervals(5, 0)
+
+    def test_intervals_match_the_decomposition(self):
+        # the closed form against the regions, and against its derivation from
+        # the numerator terms: left is the largest exponent of blocks <= r,
+        # right one below the smallest of block r + 1 (n*k for the last region)
+        for k in range(1, 10):
+            for n in (min_region_n(k), min_region_n(k) + 1, two_periods(k) + 7):
+                intervals = quasi._region_intervals(n, k)
+                exps = [[t.exponent(n) for t in numerator_expansion(k) if t.block == r]
+                        for r in range(k + 1)]
+                derived = [(max(max(e) for e in exps[:r + 1]),
+                            n * k if r == k - 1 else min(exps[r + 1]) - 1) for r in range(k)]
+                assert intervals == derived, (n, k)
+                regions = region_decomposition(n, k).regions
+                assert intervals == [(g.left, g.right) for g in regions], (n, k)
 
     def test_formulas_match_coefficients_from_the_least_n(self):
         # from n = (k-1)(k+2)/2 on, the last region [(k-1)n + k(k+1)/2 - 1, nk]
