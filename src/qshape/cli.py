@@ -73,8 +73,8 @@ def cmd_regions(args):
     from .quasi import region_decomposition
 
     decomp = region_decomposition(args.n, args.k)
-    zones = [(left, right, decomp.coeffs[left:right + 1])
-             for left, right in decomp.transition_zones]
+    zones = [(left, right, values)
+             for (left, right), values in zip(decomp.transition_zones, decomp.zone_values)]
     if args.format == "json":
         import json
 

@@ -29,7 +29,7 @@ from .exactnum import (
     Polynomial, Scalar, _Frozen, _columns, _form_rows, _horner, _integer_rows, _lowest_terms,
     _polys, _render_rows,
 )
-from .qcore import _box_series, q_binomial, q_binomial_box
+from .qcore import _box_series, q_binomial
 
 
 def _least_period(col: Sequence[int]) -> tuple[int, ...]:
@@ -253,14 +253,14 @@ class Region(NamedTuple):
 
 
 class RegionDecomposition(NamedTuple):
-    """Regions and transition zones of [n+k choose k]_q, whose coefficients
-    are coeffs."""
+    """Regions and transition zones of [n+k choose k]_q; zone_values[i] holds
+    the coefficients on transition_zones[i], left to right."""
 
     n: int
     k: int
     regions: tuple[Region, ...]
     transition_zones: tuple[tuple[int, int], ...]
-    coeffs: tuple[int, ...]
+    zone_values: tuple[tuple[int, ...], ...]
 
 
 def min_region_n(k: int) -> int:
@@ -286,10 +286,20 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
     Region r's formula is G_r(m) = sum c * F(m - e) over the numerator terms
     c * q^e of blocks <= r, F the base quasipolynomial; it holds on the
     region's interval (see Region).  The zone widths depend on k only.
+    Formulas are certified at valid_from and valid_from - 1 against the
+    numerator multiplied out apart from numerator_expansion; region r's
+    formula gives zone r - 1's values, as its validity contains the zone.
     """
     intervals = _region_intervals(n, k)
-    true_coeffs = q_binomial_box(n, k).coeffs
     base, terms = initial_quasipolynomial(k), numerator_expansion(k)
+    product = {0: 1}  # (1 - q^(n+1))...(1 - q^(n+k)) as {exponent: coefficient}
+    for e in range(n + 1, n + k + 1):
+        for x, c in list(product.items()):
+            product[x + e] = product.get(x + e, 0) - c
+
+    def matches(formula, m):  # the formula at m against sum c * F(m - x) over the product
+        true = sum(c * base._numerator(m - x) for x, c in product.items() if x <= m)
+        return formula._numerator(m) * base.den == true * formula.den
     # F_i = base.cols[i], column i of F; as (m - e)^i = sum_j C(i, j) m^j (-e)^(i-j),
     # acc[j][i - j] sums C(i, j) * c * (-e)^(i-j) * F_i(x - e) over the terms so far,
     # and its sum over i, of period lcms[j], is the formula's coefficient of m^j
@@ -311,14 +321,14 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
         # and by reciprocity the base quasipolynomial F vanishes at -1..1-T and
         # F(-T) = +-1, with T = k(k+1)/2
         valid_from = left - k * (k + 1) // 2 + 1 if r else 0
-        num, den = formula._numerator, formula.den
-        below = valid_from and num(valid_from - 1) == den * true_coeffs[valid_from - 1]
-        if below or num(valid_from) != den * true_coeffs[valid_from]:
+        if valid_from and matches(formula, valid_from - 1) or not matches(formula, valid_from):
             raise ArithmeticError(f"region {r} formula does not start matching at m={valid_from}")
         regions.append(Region(r, left, right, valid_from, formula))
 
     zones = tuple((regions[r - 1].right + 1, regions[r].left - 1) for r in range(1, k))
-    return RegionDecomposition(n, k, tuple(regions), zones, true_coeffs)
+    values = tuple(tuple(g.formula._numerator(m) // g.formula.den for m in range(a, b + 1))
+                   for (a, b), g in zip(zones, regions[1:]))
+    return RegionDecomposition(n, k, tuple(regions), zones, values)
 
 
 def demo_quasipolynomial() -> Quasipolynomial:

@@ -180,7 +180,8 @@ class TestComputeOnce:
         if argv[0] == "plot":
             argv = argv + ["--out", str(tmp_path / "p.svg")]
         assert run(capsys, *argv)[0] == 0
-        assert calls.count((50, 4)) == 1
+        # regions reads its zones and certificate off the numerator, not the box
+        assert calls.count((50, 4)) == (argv[0] == "plot")
 
 
 class TestShape:

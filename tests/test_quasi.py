@@ -233,6 +233,13 @@ def with_extra_term(monkeypatch, k, term):
     monkeypatch.setattr(quasi, "numerator_expansion", lambda _: terms)
 
 
+def assert_zone_values(decomp, true):
+    """zone_values holds the true coefficients on each transition zone."""
+    assert len(decomp.zone_values) == len(decomp.transition_zones) == decomp.k - 1
+    for (left, right), values in zip(decomp.transition_zones, decomp.zone_values):
+        assert values == true[left:right + 1], (decomp.n, decomp.k, left)
+
+
 class TestInitialQuasipolynomial:
     def test_k1_constant_one(self):
         q = initial_quasipolynomial(1)
@@ -458,6 +465,24 @@ class TestRegionDecomposition:
         with pytest.raises(ArithmeticError, match=rf"region 1 .* at m={region.valid_from}"):
             region_decomposition(n, k)
 
+    @pytest.mark.parametrize("e", range(1, 10))
+    def test_certificate_checks_against_the_truth(self, monkeypatch, e):
+        # a bogus block-0 term c * q^e with 0 < e < T = 10 leaves region 0 at
+        # m = 0 alone and shifts every later formula alike, so only a check
+        # against the true coefficients, not against the previous formula,
+        # sees it at region 1
+        with_extra_term(monkeypatch, 4, SignedTerm(1, 1, e, 0))
+        with pytest.raises(ArithmeticError, match=r"^region 1 formula does not start matching"):
+            region_decomposition(30, 4)
+
+    def test_certificate_catches_a_later_block(self, monkeypatch):
+        # a bogus block-2 term at region 2's valid_from (F(0) = 1, F(-1) = 0)
+        n, k = 30, 4
+        start = region_decomposition(n, k).regions[2].valid_from
+        with_extra_term(monkeypatch, k, SignedTerm(1, 1, start - 2 * n, 2))
+        with pytest.raises(ArithmeticError, match=rf"^region 2 .* at m={start}$"):
+            region_decomposition(n, k)
+
     def test_large_formulas_match_coefficients(self):
         # every formula of (2520, 8), on all of [valid_from, right]
         true = q_binomial_box(2520, 8).coeffs
@@ -472,9 +497,9 @@ class TestRegionDecomposition:
             next_block_start = (region.index + 1) * 50 + (region.index + 1) * (region.index + 2) // 2
             assert region.right == next_block_start - 1
 
-    def test_carries_the_coefficients(self):
+    def test_zone_values_are_the_box_slices(self):
         for n, k in [(2, 1), (24, 4), (120, 5)]:
-            assert region_decomposition(n, k).coeffs == q_binomial_box(n, k).coeffs
+            assert_zone_values(region_decomposition(n, k), q_binomial_box(n, k).coeffs)
 
     def test_n_too_small(self):
         with pytest.raises(InvalidArguments):
@@ -509,7 +534,9 @@ class TestRegionDecomposition:
             assert min_region_n(k) == (k - 1) * (k + 2) // 2
             for n in range(min_region_n(k), min_region_n(k) + 31):
                 true = q_binomial_box(n, k).coeffs
-                for region in region_decomposition(n, k).regions:
+                decomp = region_decomposition(n, k)
+                assert_zone_values(decomp, true)
+                for region in decomp.regions:
                     f, start = region.formula, region.valid_from
                     assert start <= region.left <= region.right, (n, k, region.index)
                     assert all(f.evaluate(m) == true[m] for m in range(start, region.right + 1))
