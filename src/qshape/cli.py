@@ -332,7 +332,7 @@ def main(argv=None) -> int:
         print(f"qshape: i/o error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal-consistency failures
-        print(f"qshape: internal error: {exc}", file=sys.stderr)
+        print(f"qshape: internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

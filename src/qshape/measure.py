@@ -60,11 +60,11 @@ def ks_distance(em: EmpiricalMeasure, shape: PiecewisePolynomial) -> float:
     The shape CDF is continuous and the empirical CDF is a right-continuous
     step function, so the supremum of their difference is attained at an
     atom, approached either at the atom or from its left.  One sweep compares
-    both candidates exactly, as integer numerators over the common
-    denominator total * den; only the final maximum becomes a float, by int
-    true division, which rounds correctly.
+    both candidates exactly on shape._cdf(), the CDF table built from the
+    density, as integer numerators over the common denominator total * den;
+    only the final maximum becomes a float, by correctly rounded int division.
     """
-    targets, den = shape._grid(shape._cdf, em.source_degree)
+    targets, den = shape._grid(shape._cdf(), em.source_degree)
     best = cumulative = 0
     for c, target in zip(em.coeffs, targets):
         target *= em.total

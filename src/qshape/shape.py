@@ -37,28 +37,29 @@ def _reduced(rows, den: int):
 class PiecewisePolynomial(_Frozen):
     """Continuous piecewise polynomial on [0,1]; piece i governs [i/k, (i+1)/k].
 
-    Stores integer rows over one denominator for the pieces and for the CDF
-    (each piece's antiderivative plus the prefix sum of the earlier pieces'
-    integrals), both computed in integers; evaluation is integer arithmetic
-    and the pieces are derived on access.  Both tables are in lowest terms
-    (_reduced), so equality reads them; repr shows k and pieces.
+    Stores the density alone, as integer rows over one denominator in lowest
+    terms (_canonical), so equality reads it; the pieces and the CDF table
+    (_cdf) are derived from it where they are read.  repr shows k and pieces.
     """
 
-    __slots__ = ("k", "_density", "_cdf")
+    __slots__ = ("k", "_density")
     _fields = ("k", "pieces")
 
     def __new__(cls, k: int, pieces: tuple[Polynomial, ...]):
         if k < 1 or len(pieces) != k:
             raise InvalidArguments("need exactly one piece per interval [i/k, (i+1)/k]")
-        return cls._from_rows(k, *_integer_rows(pieces))
+        return cls._canonical(k, *_integer_rows(pieces))
 
     @classmethod
-    def _from_rows(cls, k: int, rows, den: int) -> PiecewisePolynomial:
-        """Piece i is sum_m rows[i][m]/den x^m.  Row i's antiderivative goes
-        over den*lcm(1..w) (w the row length) and each breakpoint constant
-        is homogeneous Horner at i/k, so the CDF rows lie over
-        den*lcm(1..w)*k^w."""
-        width = len(rows[0])
+    def _canonical(cls, k: int, rows, den: int) -> PiecewisePolynomial:
+        """Piece i is sum_m rows[i][m]/den x^m, stored in lowest terms (_reduced)."""
+        return cls._make(k, _reduced(rows, den))
+
+    def _cdf(self):
+        """The CDF table, built from the density on each call: row i is density row
+        i's antiderivative plus the earlier pieces' integrals, over den*lcm(1..w)*k^w
+        (w the row length; breakpoints by homogeneous Horner at i/k), then _reduced."""
+        (rows, den), k, width = self._density, self.k, len(self._density[0][0])
         scale, kw = math.lcm(*range(1, width + 1)), k ** width
         cdf, below = [], 0
         for i, row in enumerate(rows):
@@ -66,7 +67,7 @@ class PiecewisePolynomial(_Frozen):
             left = _horner(anti, i, k)
             cdf.append((below - left,) + tuple(c * kw for c in anti[1:]))
             below += _horner(anti, i + 1, k) - left
-        return cls._make(k, _reduced(rows, den), _reduced(cdf, den * scale * kw))
+        return _reduced(cdf, den * scale * kw)
 
     @property
     def pieces(self) -> tuple[Polynomial, ...]:
@@ -75,8 +76,7 @@ class PiecewisePolynomial(_Frozen):
     def _at(self, table, x: Scalar) -> Fraction:
         from fractions import Fraction
 
-        rows, den = table
-        a, b = x.as_integer_ratio()
+        (rows, den), (a, b) = table, x.as_integer_ratio()
         if a < 0 or a > b:
             raise OutOfDomain(f"x={Fraction(a, b)} outside [0, 1]")
         row = rows[min(self.k * a // b, self.k - 1)]
@@ -88,11 +88,11 @@ class PiecewisePolynomial(_Frozen):
 
     def cdf(self, x: Scalar) -> Fraction:
         """Exact integral from 0 to x."""
-        return self._at(self._cdf, x)
+        return self._at(self._cdf(), x)
 
     def _grid(self, table, d: int) -> tuple[list[int], int]:
-        """The table (_density or _cdf) at j/d for j = 0..d (at 0 alone when
-        d = 0), as integer numerators over one common denominator.
+        """The table (the density table or _cdf()) at j/d for j = 0..d (at 0
+        alone when d = 0), as integer numerators over one common denominator.
 
         Each row is scaled once to c_m b^(deg-m) (b = max(d, 1)), so every
         grid point is plain Horner in j."""
@@ -124,7 +124,7 @@ def limit_shape(k: int) -> PiecewisePolynomial:
         sign = (-1) ** j * math.comb(k, j)
         row = [c + sign * f * (-j) ** (k - 1 - m) for m, (c, f) in enumerate(zip(row, column))]
         rows.append(tuple(row))
-    return PiecewisePolynomial._from_rows(k, tuple(rows), math.factorial(k - 1))
+    return PiecewisePolynomial._canonical(k, tuple(rows), math.factorial(k - 1))
 
 
 def irwin_hall_density(k: int, t: Scalar) -> Fraction:

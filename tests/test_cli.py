@@ -17,7 +17,7 @@ from qshape.cli import (_COMMANDS, _EXCLUSIVE, _build_parser, _n_list, _nonneg, 
                         _positive, main)
 from qshape.qcore import q_binomial_box
 from qshape.quasi import demo_quasipolynomial
-from qshape.shape import limit_shape
+from qshape.shape import PiecewisePolynomial, limit_shape
 from qshape.svgplot import PlotSpec, _fmt, render_svg
 
 
@@ -157,6 +157,23 @@ class TestRegions:
             for region in region_decomposition(40, 3).regions]
 
 
+class TestInternalError:
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError(), "qshape: internal error: MemoryError\n"),
+        (RuntimeError("boom"), "qshape: internal error: boom\n"),
+    ], ids=["empty-message", "message"])
+    def test_message_or_type_name(self, monkeypatch, capsys, error, line):
+        # an exception with an empty message is reported by its type name
+        import qshape.qcore
+
+        def fails(n, k):
+            raise error
+
+        monkeypatch.setattr(qshape.qcore, "q_binomial_box", fails)
+        assert main(["qbinom", "--n", "2", "--k", "2"]) == 1
+        assert capsys.readouterr() == ("", line)
+
+
 class TestComputeOnce:
     @pytest.mark.parametrize("argv", [
         ["regions", "--n", "50", "--k", "4"],
@@ -225,6 +242,32 @@ class TestShape:
                 f"{piece.to_string('x', descending=True)}"
                 for i, piece in enumerate(limit_shape(k).pieces)
             ]
+
+    @pytest.mark.parametrize("argv", [
+        ["shape", "--k", "6", "--exact"],
+        ["shape", "--k", "6", "--samples", "11"],
+        ["plot", "--n", "20", "--k", "6", "--overlay"],
+    ])
+    def test_requests_that_read_no_cdf_do_not_build_it(self, monkeypatch, tmp_path, capsys,
+                                                        argv):
+        # a limit shape stores its density alone; only cdf() and ks_distance
+        # build the CDF table, so these print the same bytes with it broken
+        svg = tmp_path / "p.svg"
+        if argv[0] == "plot":
+            argv = argv + ["--out", str(svg)]
+
+        def outputs():
+            code = main(argv)
+            return code, capsys.readouterr(), svg.read_bytes() if svg.exists() else None
+
+        expected = outputs()
+
+        def broken(self):
+            raise AssertionError("the CDF table was built")
+
+        monkeypatch.setattr(PiecewisePolynomial, "_cdf", broken)
+        limit_shape.cache_clear()
+        assert outputs() == expected
 
 
 class TestConverge:

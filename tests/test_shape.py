@@ -192,8 +192,8 @@ class TestIntegerKernel:
         else:
             shape = random_shape(data, k)
         d = data.draw(st.integers(0, 300), label="d")
-        values, den = shape._grid(shape._cdf, d)
-        rows, row_den = shape._cdf
+        values, den = shape._grid(shape._cdf(), d)
+        rows, row_den = shape._cdf()
         assert den == row_den * max(d, 1) ** (len(rows[0]) - 1)
         assert values == [shape.cdf(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
 
@@ -206,7 +206,7 @@ class TestIntegerKernel:
         if data.draw(st.booleans(), label="limit shape"):
             shape = limit_shape(k)
             rebuilt = PiecewisePolynomial(k, shape.pieces)
-            assert rebuilt._density == shape._density and rebuilt._cdf == shape._cdf
+            assert rebuilt._density == shape._density and rebuilt._cdf() == shape._cdf()
         else:
             shape = random_shape(data, min(k, 5))
         d = data.draw(st.integers(0, 300), label="d")
@@ -232,7 +232,7 @@ class TestIntegerKernel:
             cdf_pieces.append(add(anti, below - left))
             below += anti.evaluate(Fraction(i + 1, shape.k)) - left
         assert shape._density == _integer_rows(shape.pieces)
-        assert shape._cdf == _integer_rows(cdf_pieces)
+        assert shape._cdf() == _integer_rows(cdf_pieces)
 
     def test_breakpoints_and_ends(self):
         for k in range(1, 9):

@@ -93,12 +93,27 @@ def test_piecewise_polynomials_from_the_same_pieces_are_equal():
         shape = limit_shape(k)
         rebuilt = PiecewisePolynomial(k, tuple(Polynomial(p.coeffs) for p in shape.pieces))
         assert rebuilt == shape and hash(rebuilt) == hash(shape)
-        # the tables are in lowest terms, so equality compares them; repr
-        # shows the pieces instead
-        assert rebuilt._cdf == shape._cdf
+        # the density table is in lowest terms, so equality compares it and
+        # the CDF table built from it agrees; repr shows the pieces instead
+        assert rebuilt._cdf() == shape._cdf()
         assert "_cdf" not in repr(rebuilt) and "_density" not in repr(rebuilt)
     assert limit_shape(3) != limit_shape(4)
     assert limit_shape(2) != PiecewisePolynomial(2, limit_shape(2).pieces[::-1])
+
+
+def test_piecewise_polynomial_pickled_with_a_cdf_slot_loads():
+    # protocol 2 pickle of limit_shape(3) from when the CDF table was a third
+    # slot: _make zips the stored values onto (k, _density) and drops the rest
+    old = (
+        b"\x80\x02c__builtin__\ngetattr\nq\x00cqshape.shape\nPiecewisePolynomial\nq\x01"
+        b"X\x05\x00\x00\x00_makeq\x02\x86q\x03Rq\x04K\x03K\x00K\x00K\x1b\x87q\x05"
+        b"J\xf7\xff\xff\xffK6J\xca\xff\xff\xff\x87q\x06K\x1bJ\xca\xff\xff\xffK\x1b"
+        b"\x87q\x07\x87q\x08K\x02\x86q\t(K\x00K\x00K\x00K\ttq\n(K\x01J\xf7\xff\xff"
+        b"\xffK\x1bJ\xee\xff\xff\xfftq\x0b(J\xf9\xff\xff\xffK\x1bJ\xe5\xff\xff\xffK\t"
+        b"tq\x0c\x87q\rK\x02\x86q\x0e\x87q\x0fRq\x10."
+    )
+    shape = pickle.loads(old)
+    assert shape == limit_shape(3) and hash(shape) == hash(limit_shape(3))
 
 
 def test_quasipolynomials_from_the_same_polys_are_equal():
