@@ -54,24 +54,30 @@ def measure_from_polynomial(p: Polynomial) -> EmpiricalMeasure:
     return EmpiricalMeasure(tuple(c // g for c in coeffs), sum(coeffs) // g)
 
 
-def ks_distance(em: EmpiricalMeasure, shape: PiecewisePolynomial) -> float:
-    """Kolmogorov-Smirnov distance between the measure and the shape.
+def _ks(coeffs: Sequence[int], total: int, shape: PiecewisePolynomial, cdf) -> float:
+    """Kolmogorov-Smirnov distance between the measure coeffs[i] / total at
+    i / (len(coeffs) - 1) and the shape whose CDF table (shape._cdf()) is cdf.
 
     The shape CDF is continuous and the empirical CDF is a right-continuous
     step function, so the supremum of their difference is attained at an
     atom, approached either at the atom or from its left.  One sweep compares
-    both candidates exactly on shape._cdf(), the CDF table built from the
-    density, as integer numerators over the common denominator total * den;
-    only the final maximum becomes a float, by correctly rounded int division.
+    both candidates exactly, reading the CDF grid as it is computed, as
+    integer numerators over the common denominator total * den; only the
+    final maximum becomes a float, by correctly rounded int division.
     """
-    targets, den = shape._grid(shape._cdf(), em.source_degree)
+    targets, den = shape._grid(cdf, len(coeffs) - 1)
     best = cumulative = 0
-    for c, target in zip(em.coeffs, targets):
-        target *= em.total
+    for c, target in zip(coeffs, targets):
+        target *= total
         below = abs(cumulative - target)
         cumulative += c * den
         best = max(best, below, abs(cumulative - target))
-    return best / (em.total * den)
+    return best / (total * den)
+
+
+def ks_distance(em: EmpiricalMeasure, shape: PiecewisePolynomial) -> float:
+    """Kolmogorov-Smirnov distance between the measure and the shape (_ks)."""
+    return _ks(em.coeffs, em.total, shape, shape._cdf())
 
 
 class ConvergenceRow(NamedTuple):
@@ -87,7 +93,8 @@ def convergence_table(k: int, n_list: Sequence[int]) -> list[ConvergenceRow]:
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidArguments("n_list must be strictly increasing")
     target = limit_shape(k)
-    return [
-        ConvergenceRow(n, ks_distance(measure_from_polynomial(q_binomial_box(n, k)), target))
-        for n in ns
-    ]
+    cdf = target._cdf()
+    # coefficient 0 of a q-binomial is 1: the box is its own measure in
+    # lowest terms, so measure_from_polynomial would only copy it
+    boxes = (q_binomial_box(n, k).coeffs for n in ns)
+    return [ConvergenceRow(n, _ks(c, sum(c), target, cdf)) for n, c in zip(ns, boxes)]

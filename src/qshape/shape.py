@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import InvalidArguments, OutOfDomain
 from .exactnum import Polynomial, Scalar, _Frozen, _horner, _integer_rows, _lowest_terms, _polys
@@ -90,25 +90,26 @@ class PiecewisePolynomial(_Frozen):
         """Exact integral from 0 to x."""
         return self._at(self._cdf(), x)
 
-    def _grid(self, table, d: int) -> tuple[list[int], int]:
+    def _grid(self, table, d: int) -> tuple[Iterator[int], int]:
         """The table (the density table or _cdf()) at j/d for j = 0..d (at 0
-        alone when d = 0), as integer numerators over one common denominator.
-
-        Each row is scaled once to c_m b^(deg-m) (b = max(d, 1)), so every
-        grid point is plain Horner in j."""
-        (rows, den), b = table, max(d, 1)
+        alone when d = 0): integer numerators over one common denominator, as
+        an iterator that computes each as it is read.  Each row is scaled once
+        to c_m b^(deg-m) (b = max(d, 1)), so every point is plain Horner in j."""
+        (rows, den), b, k = table, max(d, 1), self.k
         deg = len(rows[0]) - 1
-        values = []
-        for i in range(self.k):
-            top, *rest = [c * b ** (deg - m) for m, c in enumerate(rows[i])][::-1]
-            # row i governs the j with i <= k*j/b < i+1; the last one also j = b
-            stop = d + 1 if i == self.k - 1 else -(-(i + 1) * b // self.k)
-            for j in range(len(values), stop):
-                acc = top
-                for c in rest:
-                    acc = acc * j + c
-                values.append(acc)
-        return values, den * b**deg
+
+        def values():
+            for i, row in enumerate(rows):
+                top, *rest = [c * b ** (deg - m) for m, c in enumerate(row)][::-1]
+                # row i governs the j with i <= k*j/b < i+1; the last one also j = b
+                stop = d + 1 if i == k - 1 else -(-(i + 1) * b // k)
+                for j in range(-(-i * b // k), stop):
+                    acc = top
+                    for c in rest:
+                        acc = acc * j + c
+                    yield acc
+
+        return values(), den * b**deg
 
 
 @functools.lru_cache(maxsize=None)

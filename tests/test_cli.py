@@ -200,6 +200,25 @@ class TestComputeOnce:
         # regions reads its zones and certificate off the numerator, not the box
         assert calls.count((50, 4)) == (argv[0] == "plot")
 
+    @pytest.mark.parametrize("cli", [False, True])
+    def test_cdf_table_built_once_per_convergence_table(self, monkeypatch, capsys, cli):
+        from qshape.measure import convergence_table
+
+        calls = []
+        cdf = PiecewisePolynomial._cdf
+
+        def counted(self):
+            calls.append(self.k)
+            return cdf(self)
+
+        monkeypatch.setattr(PiecewisePolynomial, "_cdf", counted)
+        if cli:
+            assert run(capsys, "converge", "--k", "3", "--n-list", "5,10,20,40")[0] == 0
+        else:
+            assert len(convergence_table(3, [5, 10, 20, 40])) == 4
+        # one table for the call, read by every n's sweep
+        assert calls == [3]
+
 
 class TestShape:
     def test_exact_k3(self, capsys):
@@ -250,8 +269,9 @@ class TestShape:
     ])
     def test_requests_that_read_no_cdf_do_not_build_it(self, monkeypatch, tmp_path, capsys,
                                                         argv):
-        # a limit shape stores its density alone; only cdf() and ks_distance
-        # build the CDF table, so these print the same bytes with it broken
+        # a limit shape stores its density alone; only cdf(), ks_distance and
+        # convergence_table build the CDF table, so these print the same
+        # bytes with it broken
         svg = tmp_path / "p.svg"
         if argv[0] == "plot":
             argv = argv + ["--out", str(svg)]

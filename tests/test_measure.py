@@ -198,6 +198,23 @@ class TestConvergenceTable:
         for a, b in zip(values, values[1:]):
             assert 1.95 <= a / b <= 2.05
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        st.integers(1, 8),
+        st.sets(st.integers(0, 300), min_size=1, max_size=6).map(sorted),
+    )
+    def test_equals_public_composition(self, k, ns):
+        # the table skips measure_from_polynomial: a q-binomial's coefficient 0
+        # is 1, so its box is already the coprime measure that call would make
+        for row in convergence_table(k, ns):
+            em = measure_from_polynomial(q_binomial_box(row.n, k))
+            assert row.ks == ks_distance(em, limit_shape(k))
+
+    @pytest.mark.parametrize("k, n", [(1, 0), (8, 0), (8, 10000)])
+    def test_equals_public_composition_at_the_ends(self, k, n):
+        em = measure_from_polynomial(q_binomial_box(n, k))
+        assert convergence_table(k, [n]) == [(n, ks_distance(em, limit_shape(k)))]
+
     def test_bad_n_list(self):
         with pytest.raises(InvalidArguments):
             convergence_table(3, [])

@@ -195,7 +195,7 @@ class TestIntegerKernel:
         values, den = shape._grid(shape._cdf(), d)
         rows, row_den = shape._cdf()
         assert den == row_den * max(d, 1) ** (len(rows[0]) - 1)
-        assert values == [shape.cdf(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
+        assert list(values) == [shape.cdf(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.data())
@@ -213,7 +213,7 @@ class TestIntegerKernel:
         values, den = shape._grid(shape._density, d)
         rows, row_den = shape._density
         assert den == row_den * max(d, 1) ** (len(rows[0]) - 1)
-        assert values == [shape.evaluate(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
+        assert list(values) == [shape.evaluate(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.data())
