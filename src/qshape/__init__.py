@@ -13,7 +13,7 @@ _EXPORTS = {
     "quasi": ("Quasipolynomial", "Region", "RegionDecomposition", "SignedTerm",
               "fit_quasipolynomial", "initial_quasipolynomial", "numerator_expansion",
               "region_decomposition"),
-    "shape": ("PiecewisePolynomial", "cube_slice_volume", "irwin_hall_density", "limit_shape"),
+    "shape": ("PiecewisePolynomial", "limit_shape"),
     "measure": (
         "ConvergenceRow",
         "EmpiricalMeasure",

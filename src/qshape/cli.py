@@ -99,7 +99,7 @@ def cmd_regions(args):
         if not csv:
             yield (f"region {g.index}: interval [{g.left}, {g.right}]"
                    f" (formula valid from {g.valid_from}), period {f.period}, degree {f.degree}\n")
-        for r, text in enumerate(f.residue_strings("m", descending=True)):
+        for r, text in enumerate(f.residue_strings()):
             yield (f"region,{g.index},{g.left},{g.right},{g.valid_from},{f.period},{r},{text}\n"
                    if csv else f"  m = {r} (mod {f.period}): {text}\n")
     for i, (left, right, values) in enumerate(zones):
@@ -120,7 +120,7 @@ def cmd_shape(args):
     else:
         # L_k at j/d for j = 0..d: integer numerators over one denominator
         d = args.samples - 1
-        values, den = curve._grid(curve._density, d)
+        values, den = curve._grid(d)
         yield "x,value\n"
         # d = 0 gives the one point x = 0, which prints as 0 over any d > 0
         yield from (f"{_ratio(j, d or 1)},{_ratio(v, den)}\n" for j, v in enumerate(values))
@@ -168,9 +168,8 @@ def cmd_plot(args):
         if args.overlay:
             from .shape import limit_shape
 
-            curve = limit_shape(args.k)
             # L_k at j/512 in bar-value units: L(x) * total / bars  (see --help)
-            values, den = curve._grid(curve._density, 512)
+            values, den = limit_shape(args.k)._grid(512)
             total = sum(coeffs)
             overlay = (tuple(v * total for v in values), den * len(coeffs))
         spec = PlotSpec(
@@ -316,8 +315,16 @@ def main(argv=None) -> int:
                 sys.stdout.write(text.getvalue())  # a vanished reader raises here
             if args is not None:
                 # one write per text; unbuffered stdout drops a short write, so a
-                # JSON document's newline is a write of its own to see a gone reader
-                sys.stdout.writelines(args.func(args))
+                # JSON document's newline is a write of its own to see a gone reader.
+                # Printed integers may pass str()'s digit limit (regions at n =
+                # 10^2200), which is lifted while writing; --n was parsed under it
+                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+                set_limit(0)
+                try:
+                    sys.stdout.writelines(args.func(args))
+                finally:
+                    set_limit(limit)
         sys.stdout.flush()  # a failed write is reported below, not at exit
         return code
     except InvalidArguments as exc:

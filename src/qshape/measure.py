@@ -54,9 +54,9 @@ def measure_from_polynomial(p: Polynomial) -> EmpiricalMeasure:
     return EmpiricalMeasure(tuple(c // g for c in coeffs), sum(coeffs) // g)
 
 
-def _ks(coeffs: Sequence[int], total: int, shape: PiecewisePolynomial, cdf) -> float:
+def _ks(coeffs: Sequence[int], total: int, cdf: PiecewisePolynomial) -> float:
     """Kolmogorov-Smirnov distance between the measure coeffs[i] / total at
-    i / (len(coeffs) - 1) and the shape whose CDF table (shape._cdf()) is cdf.
+    i / (len(coeffs) - 1) and the shape whose CDF (shape._cdf()) is cdf.
 
     The shape CDF is continuous and the empirical CDF is a right-continuous
     step function, so the supremum of their difference is attained at an
@@ -65,7 +65,7 @@ def _ks(coeffs: Sequence[int], total: int, shape: PiecewisePolynomial, cdf) -> f
     integer numerators over the common denominator total * den; only the
     final maximum becomes a float, by correctly rounded int division.
     """
-    targets, den = shape._grid(cdf, len(coeffs) - 1)
+    targets, den = cdf._grid(len(coeffs) - 1)
     best = cumulative = 0
     for c, target in zip(coeffs, targets):
         target *= total
@@ -77,7 +77,7 @@ def _ks(coeffs: Sequence[int], total: int, shape: PiecewisePolynomial, cdf) -> f
 
 def ks_distance(em: EmpiricalMeasure, shape: PiecewisePolynomial) -> float:
     """Kolmogorov-Smirnov distance between the measure and the shape (_ks)."""
-    return _ks(em.coeffs, em.total, shape, shape._cdf())
+    return _ks(em.coeffs, em.total, shape._cdf())
 
 
 class ConvergenceRow(NamedTuple):
@@ -92,9 +92,8 @@ def convergence_table(k: int, n_list: Sequence[int]) -> list[ConvergenceRow]:
         raise InvalidArguments("n_list must be non-empty")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InvalidArguments("n_list must be strictly increasing")
-    target = limit_shape(k)
-    cdf = target._cdf()
+    cdf = limit_shape(k)._cdf()
     # coefficient 0 of a q-binomial is 1: the box is its own measure in
     # lowest terms, so measure_from_polynomial would only copy it
     boxes = (q_binomial_box(n, k).coeffs for n in ns)
-    return [ConvergenceRow(n, _ks(c, sum(c), target, cdf)) for n, c in zip(ns, boxes)]
+    return [ConvergenceRow(n, _ks(c, sum(c), cdf)) for n, c in zip(ns, boxes)]

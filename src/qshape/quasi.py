@@ -87,9 +87,9 @@ class Quasipolynomial(_Frozen):
         (integers without "/"), trailing zeros dropped."""
         return _form_rows(self.cols, self.period, self.den)
 
-    def residue_strings(self, var: str = "q", descending: bool = False) -> list[str]:
-        """polys[r].to_string(var, descending) for every residue r."""
-        return _render_rows(self.cols, self.period, self.den, var, descending)
+    def residue_strings(self) -> list[str]:
+        """polys[r].to_string("m", descending=True) for every residue r."""
+        return _render_rows(self.cols, self.period, self.den, "m", True)
 
     def arg_shifted(self, e: int) -> Quasipolynomial:
         """The quasipolynomial m -> self(m - e)."""

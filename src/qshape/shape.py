@@ -25,21 +25,13 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def _reduced(rows, den: int):
-    """rows/den in lowest terms: the common gcd divided out and all-zero top
-    columns dropped (one column stays), as _integer_rows gives them."""
-    width = len(rows[0])
-    while width > 1 and not any(row[width - 1] for row in rows):
-        width -= 1
-    return _lowest_terms([row[:width] for row in rows], den)
-
-
 class PiecewisePolynomial(_Frozen):
     """Continuous piecewise polynomial on [0,1]; piece i governs [i/k, (i+1)/k].
 
-    Stores the density alone, as integer rows over one denominator in lowest
-    terms (_canonical), so equality reads it; the pieces and the CDF table
-    (_cdf) are derived from it where they are read.  repr shows k and pieces.
+    Stores the pieces (a limit shape's density) alone, as integer rows over
+    one denominator in lowest terms (_canonical), so equality reads them; the
+    Fraction pieces and the CDF (_cdf) are derived where they are read.  repr
+    shows k and pieces.
     """
 
     __slots__ = ("k", "_density")
@@ -52,13 +44,17 @@ class PiecewisePolynomial(_Frozen):
 
     @classmethod
     def _canonical(cls, k: int, rows, den: int) -> PiecewisePolynomial:
-        """Piece i is sum_m rows[i][m]/den x^m, stored in lowest terms (_reduced)."""
-        return cls._make(k, _reduced(rows, den))
+        """Piece i is sum_m rows[i][m]/den x^m, stored in lowest terms: all-zero
+        top columns dropped (one column stays), then the common gcd divided out."""
+        width = len(rows[0])
+        while width > 1 and not any(row[width - 1] for row in rows):
+            width -= 1
+        return cls._make(k, _lowest_terms([row[:width] for row in rows], den))
 
-    def _cdf(self):
-        """The CDF table, built from the density on each call: row i is density row
-        i's antiderivative plus the earlier pieces' integrals, over den*lcm(1..w)*k^w
-        (w the row length; breakpoints by homogeneous Horner at i/k), then _reduced."""
+    def _cdf(self) -> PiecewisePolynomial:
+        """The CDF, built from the pieces on each call: piece i is piece i's
+        antiderivative plus the earlier pieces' integrals, over den*lcm(1..w)*k^w
+        (w the row length; breakpoints by homogeneous Horner at i/k)."""
         (rows, den), k, width = self._density, self.k, len(self._density[0][0])
         scale, kw = math.lcm(*range(1, width + 1)), k ** width
         cdf, below = [], 0
@@ -67,35 +63,32 @@ class PiecewisePolynomial(_Frozen):
             left = _horner(anti, i, k)
             cdf.append((below - left,) + tuple(c * kw for c in anti[1:]))
             below += _horner(anti, i + 1, k) - left
-        return _reduced(cdf, den * scale * kw)
+        return self._canonical(k, cdf, den * scale * kw)
 
     @property
     def pieces(self) -> tuple[Polynomial, ...]:
         return _polys(*self._density)
 
-    def _at(self, table, x: Scalar) -> Fraction:
+    def evaluate(self, x: Scalar) -> Fraction:
+        """Exact value at x; at a breakpoint both pieces agree."""
         from fractions import Fraction
 
-        (rows, den), (a, b) = table, x.as_integer_ratio()
+        (rows, den), (a, b) = self._density, x.as_integer_ratio()
         if a < 0 or a > b:
             raise OutOfDomain(f"x={Fraction(a, b)} outside [0, 1]")
         row = rows[min(self.k * a // b, self.k - 1)]
         return Fraction(_horner(row, a, b), den * b ** (len(row) - 1))
 
-    def evaluate(self, x: Scalar) -> Fraction:
-        """Exact value at x; at a breakpoint both pieces agree."""
-        return self._at(self._density, x)
-
     def cdf(self, x: Scalar) -> Fraction:
         """Exact integral from 0 to x."""
-        return self._at(self._cdf(), x)
+        return self._cdf().evaluate(x)
 
-    def _grid(self, table, d: int) -> tuple[Iterator[int], int]:
-        """The table (the density table or _cdf()) at j/d for j = 0..d (at 0
-        alone when d = 0): integer numerators over one common denominator, as
-        an iterator that computes each as it is read.  Each row is scaled once
-        to c_m b^(deg-m) (b = max(d, 1)), so every point is plain Horner in j."""
-        (rows, den), b, k = table, max(d, 1), self.k
+    def _grid(self, d: int) -> tuple[Iterator[int], int]:
+        """The pieces at j/d for j = 0..d (at 0 alone when d = 0): integer
+        numerators over one common denominator, as an iterator that computes
+        each as it is read.  Each row is scaled once to c_m b^(deg-m)
+        (b = max(d, 1)), so every point is plain Horner in j."""
+        (rows, den), b, k = self._density, max(d, 1), self.k
         deg = len(rows[0]) - 1
 
         def values():

@@ -143,6 +143,32 @@ class TestRegions:
         values = [int(v) for v in line.split(":")[1].split()]
         assert values == [truth.coefficient(m) for m in (51, 52, 53)]
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="the interpreter does not limit int to str conversion")
+    def test_zone_values_longer_than_the_str_limit(self, capsys):
+        # at n = 10^2200 the zone values of k = 3 have about 4 400 digits, more
+        # than str() converts by default: main lifts that limit while it
+        # writes the output, and restores it
+        from qshape.quasi import region_decomposition
+
+        n, limit = 10 ** 2200, sys.get_int_max_str_digits()
+        argv = ["regions", "--n", str(n), "--k", "3"]
+        code, out = run(capsys, *argv)
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        result = subprocess.run([sys.executable, "-m", "qshape.cli", *argv], env=cli_env(),
+                                capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (0, out, "")
+        zones = [line.split(": ")[1].split() for line in out.splitlines()
+                 if line.startswith("transition zone")]
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = [[str(v) for v in values]
+                        for values in region_decomposition(n, 3).zone_values]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert zones == expected
+        assert max(len(v) for values in zones for v in values) > 4300
+
     def test_json_structure(self, capsys):
         from qshape.quasi import region_decomposition
 
@@ -463,7 +489,7 @@ class TestStartup:
             "print(sorted(set(namespace) - {'__builtins__'}) == sorted(qshape.__all__),"
             " listed, len(qshape.__all__))"
         )
-        assert fresh_python(probe) == "True True 22\n"
+        assert fresh_python(probe) == "True True 20\n"
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):

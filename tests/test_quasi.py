@@ -143,7 +143,7 @@ class TestFit:
         for m in range(start - 2 * period, start + length + 2 * period):
             assert q.evaluate(m) == polys[m % period].evaluate(m)
         # the integer rows render as the Fraction polynomials do
-        assert q.residue_strings("m", True) == [p.to_string("m", True) for p in polys]
+        assert q.residue_strings() == [p.to_string("m", True) for p in polys]
         assert q.residue_coefficients() == [[str(c) for c in p.coeffs] for p in polys]
 
     def test_alternating_period_two(self):

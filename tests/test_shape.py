@@ -65,6 +65,18 @@ def cdf_oracle(shape, x):
     return total + anti.evaluate(x) - anti.evaluate(Fraction(i, shape.k))
 
 
+def cdf_pieces_oracle(shape):
+    """The CDF's pieces as Fraction polynomials: each piece's antiderivative
+    plus the integrals of the earlier pieces."""
+    cdf_pieces, below = [], Fraction(0)
+    for i, piece in enumerate(shape.pieces):
+        anti = piece.antiderivative()
+        left = anti.evaluate(Fraction(i, shape.k))
+        cdf_pieces.append(add(anti, below - left))
+        below += anti.evaluate(Fraction(i + 1, shape.k)) - left
+    return tuple(cdf_pieces)
+
+
 def random_shape(data, k):
     """A PiecewisePolynomial on k random pieces: unequal degrees, zero pieces,
     integer or rational coefficients."""
@@ -192,8 +204,9 @@ class TestIntegerKernel:
         else:
             shape = random_shape(data, k)
         d = data.draw(st.integers(0, 300), label="d")
-        values, den = shape._grid(shape._cdf(), d)
-        rows, row_den = shape._cdf()
+        cdf = shape._cdf()
+        values, den = cdf._grid(d)
+        rows, row_den = cdf._density
         assert den == row_den * max(d, 1) ** (len(rows[0]) - 1)
         assert list(values) == [shape.cdf(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
 
@@ -210,7 +223,7 @@ class TestIntegerKernel:
         else:
             shape = random_shape(data, min(k, 5))
         d = data.draw(st.integers(0, 300), label="d")
-        values, den = shape._grid(shape._density, d)
+        values, den = shape._grid(d)
         rows, row_den = shape._density
         assert den == row_den * max(d, 1) ** (len(rows[0]) - 1)
         assert list(values) == [shape.evaluate(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
@@ -225,14 +238,24 @@ class TestIntegerKernel:
             shape = limit_shape(k)
         else:
             shape = random_shape(data, min(k, 5))
-        cdf_pieces, below = [], Fraction(0)
-        for i, piece in enumerate(shape.pieces):
-            anti = piece.antiderivative()
-            left = anti.evaluate(Fraction(i, shape.k))
-            cdf_pieces.append(add(anti, below - left))
-            below += anti.evaluate(Fraction(i + 1, shape.k)) - left
         assert shape._density == _integer_rows(shape.pieces)
-        assert shape._cdf() == _integer_rows(cdf_pieces)
+        assert shape._cdf()._density == _integer_rows(cdf_pieces_oracle(shape))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.data())
+    def test_cdf_is_the_piecewise_polynomial_of_its_pieces(self, data):
+        # _cdf() is the record PiecewisePolynomial builds from the Fraction
+        # CDF pieces, and cdf(x) is its value at x
+        k = data.draw(st.integers(1, 10), label="k")
+        if data.draw(st.booleans(), label="limit shape"):
+            shape = limit_shape(k)
+        else:
+            shape = random_shape(data, min(k, 5))
+        cdf = shape._cdf()
+        assert type(cdf) is PiecewisePolynomial
+        assert cdf == PiecewisePolynomial(shape.k, cdf_pieces_oracle(shape))
+        for x in data.draw(st.lists(self.rationals, min_size=1, max_size=5), label="xs"):
+            assert shape.cdf(x) == cdf.evaluate(x) == cdf_oracle(shape, x)
 
     def test_breakpoints_and_ends(self):
         for k in range(1, 9):
