@@ -29,18 +29,27 @@ def _invalid(message: str) -> Exception:
     return argparse.ArgumentTypeError(message)
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise _invalid(f"must be >= 0, got {value}")
+def _nonneg(text: str, low: int = 0) -> int:
+    """int(text), which must be >= low: the one check, which _positive shares.
+    A well-formed integer past the interpreter's digit limit is a usage error
+    that names the limit, not the number."""
+    try:
+        value = int(text)
+    except ValueError:
+        import re
+
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
+            digits = sum(map(str.isdecimal, text))
+            raise _invalid(f"has {digits} digits, more than this interpreter's limit of {limit}")
+        raise
+    if value < low:
+        raise _invalid(f"must be >= {low}, got {value}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise _invalid(f"must be >= 1, got {value}")
-    return value
+    return _nonneg(text, 1)
 
 
 def _n_list(text: str) -> list[int]:
@@ -137,6 +146,7 @@ def cmd_converge(args):
 def cmd_plot(args):
     from .svgplot import PlotSpec, region_fills, render_svg
 
+    overlay = fills = None
     if args.demo:
         given = {"--n": args.n is not None, "--k": args.k is not None,
                  "--overlay": args.overlay, "--color-regions": args.color_regions}
@@ -147,39 +157,28 @@ def cmd_plot(args):
 
         f = demo_quasipolynomial()
         # den * f(m): bars are drawn relative to the tallest, so den cancels
-        spec = PlotSpec(
-            bar_heights=tuple(f._numerator(m) for m in range(41)),
-            width_px=args.width,
-            height_px=args.height,
-            title="two-branch quasipolynomial, arguments 0..40",
-        )
+        bars = tuple(f._numerator(m) for m in range(41))
+        title = "two-branch quasipolynomial, arguments 0..40"
     else:
         if args.n is None or args.k is None:
             raise InvalidArguments("plot needs --n and --k (or --demo)")
-        fills = None
         if args.color_regions:
             from .quasi import _region_intervals
 
             fills = region_fills(args.n * args.k + 1, _region_intervals(args.n, args.k))
         from .qcore import q_binomial_box
 
-        coeffs = q_binomial_box(args.n, args.k).coeffs
-        overlay = None
+        bars = q_binomial_box(args.n, args.k).coeffs
+        title = f"coefficients of [{args.n}+{args.k} choose {args.k}]_q"
         if args.overlay:
             from .shape import limit_shape
 
             # L_k at j/512 in bar-value units: L(x) * total / bars  (see --help)
             values, den = limit_shape(args.k)._grid(512)
-            total = sum(coeffs)
-            overlay = (tuple(v * total for v in values), den * len(coeffs))
-        spec = PlotSpec(
-            bar_heights=coeffs,
-            width_px=args.width,
-            height_px=args.height,
-            title=f"coefficients of [{args.n}+{args.k} choose {args.k}]_q",
-            overlay=overlay,
-            region_colors=fills,
-        )
+            total = sum(bars)
+            overlay = (tuple(v * total for v in values), den * len(bars))
+    spec = PlotSpec(bar_heights=bars, width_px=args.width, height_px=args.height, title=title,
+                    overlay=overlay, region_colors=fills)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(render_svg(spec))
     yield from ()  # the SVG file is the output: no lines for stdout

@@ -205,9 +205,8 @@ def numerator_expansion(k: int) -> tuple[SignedTerm, ...]:
     for j in range(k + 1):
         sign = -1 if j % 2 else 1
         base = j * (j + 1) // 2
-        for t, c in enumerate(q_binomial(k, j).coeffs):
-            if c:
-                terms.append(SignedTerm(sign, c, base + t, j))
+        terms.extend(SignedTerm(sign, c, base + t, j)
+                     for t, c in enumerate(q_binomial(k, j).coeffs))
     return tuple(terms)
 
 
@@ -334,4 +333,4 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
 def demo_quasipolynomial() -> Quasipolynomial:
     """A period-2 quasipolynomial whose branches visibly fail to mesh:
     10m on even arguments, (m^2 - m)/2 on odd ones."""
-    return Quasipolynomial._make(2, ((0,), (20, -1), (0, 1)), 2)
+    return Quasipolynomial._canonical(2, ((0,), (20, -1), (0, 1)), 2)

@@ -598,6 +598,19 @@ class TestPlot:
         assert capsys.readouterr() == ("", "qshape: error: n=8 too small for k=4: need n >= 9\n")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("n, k", [(50, 4), (60, 6)])
+    def test_color_regions_with_overlay(self, tmp_path, n, k):
+        # both flags give the --color-regions file with the --overlay
+        # polyline as the last element
+        files = []
+        for flags in (["--color-regions"], ["--overlay"], ["--color-regions", "--overlay"]):
+            files.append(tmp_path / f"{len(files)}.svg")
+            assert main(["plot", "--n", str(n), "--k", str(k), *flags, "--out", str(files[-1])]) == 0
+        colored, curve, both = (f.read_text().splitlines() for f in files)
+        line = [text for text in curve if text.startswith("<polyline ")]
+        assert len(line) == 1 and colored[-1] == "</svg>"
+        assert both == colored[:-1] + line + ["</svg>"]
+
     def test_overlay_polyline_present(self, tmp_path):
         out_file = tmp_path / "p.svg"
         main(["plot", "--n", "20", "--k", "3", "--overlay", "--out", str(out_file)])
@@ -996,6 +1009,37 @@ def canonical_requests(draw):
         value = draw(valid_value(options[flag]))
         argv += [flag] if value is None else [flag, value]
     return argv
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the interpreter does not limit int to str conversion")
+class TestDigitLimit:
+    """An integer option longer than int()'s digit limit is a usage error
+    that states the digit count and the limit, and echoes neither the
+    number nor the name of the type function."""
+
+    @pytest.mark.parametrize("argv", [
+        ["regions", "--n", "{big}", "--k", "3"],
+        ["converge", "--k", "3", "--n-list", "5,{big}"],
+        ["plot", "--n", "5", "--k", "3", "--width", "{big}", "--out", "{out}"],
+    ])
+    def test_over_the_limit(self, argv, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        limit = sys.get_int_max_str_digits()
+        big, out = "1" + "0" * (limit + 100), tmp_path / "p.svg"
+        assert main([a.format(big=big, out=out) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert len(captured.err.encode()) < 300
+        assert "_nonneg" not in captured.err and "_positive" not in captured.err
+        assert f"has {limit + 101} digits" in captured.err and str(limit) in captured.err
+
+    def test_malformed_value_keeps_its_message(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["regions", "--n", "abc", "--k", "3"]) == 2
+        assert capsys.readouterr() == ("", (
+            "usage: qshape regions [-h] --n N --k K [--format {coeffs,csv,json}]\n"
+            "qshape regions: error: argument --n: invalid _nonneg value: 'abc'\n"))
 
 
 class TestParser:

@@ -324,6 +324,17 @@ class TestNumeratorExpansion:
             SignedTerm(1, 1, 10, 4)
         ]
 
+    def test_terms_count_partitions(self):
+        # each coefficient of [k choose j]_q counts a nonempty set of
+        # partitions, so no term is zero; at q = 1 block j sums to C(k, j)
+        # and the whole product (1 - q^(n+1))...(1 - q^(n+k)) vanishes
+        for k in range(1, 13):
+            terms = numerator_expansion(k)
+            assert all(t.multiplicity >= 1 for t in terms)
+            for j in range(k + 1):
+                assert sum(t.multiplicity for t in terms if t.block == j) == math.comb(k, j)
+            assert sum(t.sign * t.multiplicity for t in terms) == 0
+
     def test_identity_for_concrete_n(self):
         for k in range(1, 7):
             for n in (0, 1, 2, 5, 17, 30):
@@ -606,9 +617,11 @@ class TestQuasipolynomialType:
 
     def test_demo_branches(self):
         f = demo_quasipolynomial()
-        # built by _make, and already in the lowest terms that _canonical stores
+        # built by _canonical, which keeps the columns as written: they are
+        # already in lowest terms
         canonical = Quasipolynomial._canonical(f.period, f.cols, f.den)
         assert (canonical.cols, canonical.den) == (f.cols, f.den)
+        assert (f.period, f.cols, f.den) == (2, ((0,), (20, -1), (0, 1)), 2)
         assert f.evaluate(6) == 60
         assert f.evaluate(7) == 21
         assert [f.evaluate(m) for m in range(5)] == [0, 0, 20, 3, 40]
