@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "exactnum": ("Polynomial",),
-    "qcore": ("CoefficientReport", "coefficient_report", "q_binomial", "q_binomial_box"),
+    "qcore": ("q_binomial", "q_binomial_box"),
     "quasi": ("Quasipolynomial", "Region", "RegionDecomposition", "SignedTerm",
               "fit_quasipolynomial", "initial_quasipolynomial", "numerator_expansion",
               "region_decomposition"),

@@ -20,6 +20,10 @@ from .errors import InvalidArguments
 # Each command imports the engine modules it uses, so a process loads only
 # what its command needs (start-up dominates small requests).
 
+# The interpreter's int <-> str digit limit (0: none), or no-ops without one
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+
 
 def _invalid(message: str) -> Exception:
     # argparse is imported only on this error branch and in _build_parser,
@@ -30,19 +34,13 @@ def _invalid(message: str) -> Exception:
 
 
 def _nonneg(text: str, low: int = 0) -> int:
-    """int(text), which must be >= low: the one check, which _positive shares.
-    A well-formed integer past the interpreter's digit limit is a usage error
-    that names the limit, not the number."""
-    try:
-        value = int(text)
-    except ValueError:
-        import re
-
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
-            digits = sum(map(str.isdecimal, text))
-            raise _invalid(f"has {digits} digits, more than this interpreter's limit of {limit}")
-        raise
+    """int(text), which must be >= low: the one check of every integer option.
+    A value with more decimal digits than the interpreter's limit, counted as
+    int() counts them, is a usage error that names the limit, not the value."""
+    digits, limit = sum(map(str.isdecimal, text)), _get_digit_limit()
+    if limit and digits > limit:
+        raise _invalid(f"has {digits} digits, more than this interpreter's limit of {limit}")
+    value = int(text)
     if value < low:
         raise _invalid(f"must be >= {low}, got {value}")
     return value
@@ -317,13 +315,12 @@ def main(argv=None) -> int:
                 # JSON document's newline is a write of its own to see a gone reader.
                 # Printed integers may pass str()'s digit limit (regions at n =
                 # 10^2200), which is lifted while writing; --n was parsed under it
-                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-                set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-                set_limit(0)
+                limit = _get_digit_limit()
+                _set_digit_limit(0)
                 try:
                     sys.stdout.writelines(args.func(args))
                 finally:
-                    set_limit(limit)
+                    _set_digit_limit(limit)
         sys.stdout.flush()  # a failed write is reported below, not at exit
         return code
     except InvalidArguments as exc:
