@@ -35,14 +35,14 @@ def _invalid(message: str) -> Exception:
 
 def _nonneg(text: str, low: int = 0) -> int:
     """int(text), which must be >= low: the one check of every integer option.
-    A value with more decimal digits than the interpreter's limit, counted as
-    int() counts them, is a usage error that names the limit, not the value."""
+    An error states a long value by its decimal digits (as int() counts them):
+    one past the interpreter's limit, or one below low over 200 characters."""
     digits, limit = sum(map(str.isdecimal, text)), _get_digit_limit()
     if limit and digits > limit:
         raise _invalid(f"has {digits} digits, more than this interpreter's limit of {limit}")
-    value = int(text)
-    if value < low:
-        raise _invalid(f"must be >= {low}, got {value}")
+    if (value := int(text)) < low:
+        got = value if len(text) <= 200 else f"a number of {digits} digits"
+        raise _invalid(f"must be >= {low}, got {got}")
     return value
 
 
@@ -53,8 +53,8 @@ def _positive(text: str) -> int:
 def _n_list(text: str) -> list[int]:
     try:
         values = [_nonneg(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise _invalid(f"bad n list {text!r}") from exc
+    except ValueError as exc:  # int()'s message names the bad entry, cut at 200 characters
+        raise _invalid(f"bad n list entry: {exc}") from exc
     if not values:
         raise _invalid("n list is empty")
     return values

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import itertools
 import json
 import math
@@ -1043,6 +1045,60 @@ class TestDigitLimit:
         assert capsys.readouterr() == ("", (
             "usage: qshape regions [-h] --n N --k K [--format {coeffs,csv,json}]\n"
             "qshape regions: error: argument --n: invalid _nonneg value: 'abc'\n"))
+
+
+def rejected_by_int(token):
+    """Whether token is a non-blank --n-list entry that int() rejects."""
+    try:
+        int(token)
+    except ValueError:
+        return token.strip() != ""
+    return False
+
+
+class TestRejectedValueMessage:
+    """A rejected integer gets one short message from the check that rejected
+    it: a bad --n-list entry is named alone, cut at 200 characters, and a long
+    value below the bound is stated by its digit count."""
+
+    def usage_error(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_bad_entry_after_many_good_ones(self, monkeypatch, capsys):
+        err = self.usage_error(["converge", "--k", "3", "--n-list", "1," * 3000 + "abc"],
+                               monkeypatch, capsys)
+        assert len(err.encode()) < 300 and "'abc'" in err and "1,1,1" not in err
+        assert err.endswith("argument --n-list: bad n list entry: "
+                            "invalid literal for int() with base 10: 'abc'\n")
+
+    def test_long_bad_entry_is_cut(self, monkeypatch, capsys):
+        err = self.usage_error(["converge", "--k", "3", "--n-list", "5," + "x" * 5000],
+                               monkeypatch, capsys)
+        assert len(err.encode()) < 400 and "x" * 190 in err
+
+    def test_long_negative_value_states_its_digit_count(self, monkeypatch, capsys):
+        err = self.usage_error(["regions", "--n", "-" + "9" * 4000, "--k", "3"],
+                               monkeypatch, capsys)
+        assert len(err.encode()) < 300
+        assert "argument --n: must be >= 0, got a number of 4000 digits" in err
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
+           st.text(st.characters(exclude_categories=("Cs",), exclude_characters=","),
+                   min_size=1, max_size=15).filter(rejected_by_int))
+    def test_bad_entry_is_named(self, good, token):
+        # the token's repr stays under the 200 characters that int() keeps
+        argv = ["converge", "--k", "3", "--n-list", ",".join(map(str, good + [token]))]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().endswith(f"argument --n-list: bad n list entry: "
+                                       f"invalid literal for int() with base 10: {token!r}\n")
 
 
 class TestParser:
