@@ -20,10 +20,6 @@ from .errors import InvalidArguments
 # Each command imports the engine modules it uses, so a process loads only
 # what its command needs (start-up dominates small requests).
 
-# The interpreter's int <-> str digit limit (0: none), or no-ops without one
-_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
-_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-
 
 def _invalid(message: str) -> Exception:
     # argparse is imported only on this error branch and in _build_parser,
@@ -37,7 +33,8 @@ def _nonneg(text: str, low: int = 0) -> int:
     """int(text), which must be >= low: the one check of every integer option.
     An error states a long value by its decimal digits (as int() counts them):
     one past the interpreter's limit, or one below low over 200 characters."""
-    digits, limit = sum(map(str.isdecimal, text)), _get_digit_limit()
+    digits = sum(map(str.isdecimal, text))
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() = 0: no limit
     if limit and digits > limit:
         raise _invalid(f"has {digits} digits, more than this interpreter's limit of {limit}")
     if (value := int(text)) < low:
@@ -77,40 +74,44 @@ def cmd_qbinom(args):
 
 
 def cmd_regions(args):
+    from .exactnum import _ratio
     from .quasi import region_decomposition
 
     decomp = region_decomposition(args.n, args.k)
-    zones = [(left, right, values)
+    # integers print through _ratio: at n = 10^2200 they pass str()'s digit limit
+    regions = [(g, *(_ratio(v, 1) for v in (g.left, g.right, g.valid_from)))
+               for g in decomp.regions]
+    zones = [(_ratio(left, 1), _ratio(right, 1), [_ratio(v, 1) for v in values])
              for (left, right), values in zip(decomp.transition_zones, decomp.zone_values)]
     if args.format == "json":
         import json
 
-        # json.dumps of the whole document, written one region at a time
+        # json.dumps's layout for the whole document, written one region at a time
         yield f'{{"n": {decomp.n}, "k": {decomp.k}, "regions": ['
-        for region in decomp.regions:
-            if region.index:
-                yield ", "
-            f = region.formula
-            yield json.dumps({"index": region.index, "left": region.left, "right": region.right,
-                              "valid_from": region.valid_from, "period": f.period,
-                              "degree": f.degree, "residue_polynomials": f.residue_coefficients()})
-        yield '], "transition_zones": ' + json.dumps(
-            [{"left": left, "right": right, "coefficients": v} for left, right, v in zones]) + "}"
+        for g, left, right, start in regions:
+            f = g.formula
+            yield (f'{", " if g.index else ""}{{"index": {g.index}, "left": {left}, '
+                   f'"right": {right}, "valid_from": {start}, "period": {f.period}, '
+                   f'"degree": {f.degree}, "residue_polynomials": '
+                   f'{json.dumps(f.residue_coefficients())}}}')
+        yield '], "transition_zones": [' + ", ".join(
+            f'{{"left": {left}, "right": {right}, "coefficients": [{", ".join(values)}]}}'
+            for left, right, values in zones) + "]}"
         yield "\n"
         return
     csv = args.format == "csv"
     if csv:
         yield "kind,index,left,right,valid_from,period,residue,formula\n"
-    for g in decomp.regions:
+    for g, left, right, start in regions:
         f = g.formula
         if not csv:
-            yield (f"region {g.index}: interval [{g.left}, {g.right}]"
-                   f" (formula valid from {g.valid_from}), period {f.period}, degree {f.degree}\n")
+            yield (f"region {g.index}: interval [{left}, {right}]"
+                   f" (formula valid from {start}), period {f.period}, degree {f.degree}\n")
         for r, text in enumerate(f.residue_strings()):
-            yield (f"region,{g.index},{g.left},{g.right},{g.valid_from},{f.period},{r},{text}\n"
+            yield (f"region,{g.index},{left},{right},{start},{f.period},{r},{text}\n"
                    if csv else f"  m = {r} (mod {f.period}): {text}\n")
     for i, (left, right, values) in enumerate(zones):
-        joined = " ".join(str(v) for v in values)
+        joined = " ".join(values)
         yield (f"zone,{i},{left},{right},,,,{joined}\n" if csv
                else f"transition zone [{left}, {right}]: {joined}\n")
 
@@ -312,15 +313,8 @@ def main(argv=None) -> int:
                 sys.stdout.write(text.getvalue())  # a vanished reader raises here
             if args is not None:
                 # one write per text; unbuffered stdout drops a short write, so a
-                # JSON document's newline is a write of its own to see a gone reader.
-                # Printed integers may pass str()'s digit limit (regions at n =
-                # 10^2200), which is lifted while writing; --n was parsed under it
-                limit = _get_digit_limit()
-                _set_digit_limit(0)
-                try:
-                    sys.stdout.writelines(args.func(args))
-                finally:
-                    _set_digit_limit(limit)
+                # JSON document's newline is a write of its own to see a gone reader
+                sys.stdout.writelines(args.func(args))
         sys.stdout.flush()  # a failed write is reported below, not at exit
         return code
     except InvalidArguments as exc:

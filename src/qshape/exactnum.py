@@ -189,9 +189,15 @@ def _lowest_terms(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple, int]:
 
 
 def _ratio(a: int, b: int) -> str:
-    """a/b (b > 0) in lowest terms, as an integer when b divides a."""
+    """a/b (b > 0) in lowest terms, as an integer when b divides a.  Past str()'s
+    digit limit it converts through Decimal, which is exact and has no limit."""
     g = math.gcd(a, b)
-    return str(a // g) if g == b else f"{a // g}/{b // g}"
+    a, b = a // g, b // g
+    try:
+        return str(a) if b == 1 else f"{a}/{b}"
+    except ValueError:  # more digits than the interpreter converts
+        from decimal import Decimal
+        return str(Decimal(a)) if b == 1 else f"{Decimal(a)}/{Decimal(b)}"
 
 
 def _horner(row: Sequence[int], a: int, b: int) -> int:

@@ -20,7 +20,7 @@ from operator import ge, le, sub
 from typing import NamedTuple
 
 from .errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
-from .exactnum import Polynomial, _mul
+from .exactnum import Polynomial
 
 
 @functools.lru_cache(maxsize=None)
@@ -28,9 +28,12 @@ def q_factorial(n: int) -> Polynomial:
     """[n]!_q = [n]_q [n-1]_q ... [1]_q; the empty product is 1."""
     if n < 0:
         raise InvalidArguments("q_factorial needs n >= 0")
-    if n == 0:
-        return Polynomial((1,))
-    return Polynomial(_mul(q_factorial(n - 1).coeffs, (1,) * n))
+    c = [1]
+    for i in range(2, n + 1):  # times [i]_q = (1 - q^i) / (1 - q)
+        c += [0] * i
+        c[i:] = map(sub, c[i:], c[:-i])
+        c = list(accumulate(c[:-1]))
+    return Polynomial(c)
 
 
 def q_binomial(n: int, k: int) -> Polynomial:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .exactnum import (
     Polynomial, Scalar, _Frozen, _columns, _form_rows, _horner, _integer_rows, _lowest_terms,
-    _polys, _render_rows,
+    _polys, _ratio, _render_rows,
 )
 from .qcore import _box_series, q_binomial
 
@@ -267,12 +267,19 @@ def min_region_n(k: int) -> int:
     return (k - 1) * (k + 2) // 2
 
 
+def _brief(value: int) -> str:
+    """value in decimal, or its digit count when that is over 200 characters."""
+    text = _ratio(value, 1)
+    return text if len(text) <= 200 else f"a number of {len(text.lstrip('-'))} digits"
+
+
 def _region_intervals(n: int, k: int) -> list[tuple[int, int]]:
     """(left, right) of regions 0..k-1 of (n, k) in closed form (see Region)."""
     if k < 1:
         raise InvalidArguments("needs k >= 1")
     if n < min_region_n(k):
-        raise InvalidArguments(f"n={n} too small for k={k}: need n >= {min_region_n(k)}")
+        n_text, k_text, need = map(_brief, (n, k, min_region_n(k)))
+        raise InvalidArguments(f"n={n_text} too small for k={k_text}: need n >= {need}")
     return [(r * n + r * (r + 1) // 2 + r * (k - r),
              n * k if r == k - 1 else (r + 1) * n + (r + 1) * (r + 2) // 2 - 1)
             for r in range(k)]

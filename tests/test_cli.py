@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import itertools
 import json
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import qshape
 from qshape.cli import (_COMMANDS, _EXCLUSIVE, _build_parser, _n_list, _nonneg, _parse,
                         _positive, main)
+from qshape.exactnum import _ratio
 from qshape.qcore import q_binomial_box
 from qshape.quasi import demo_quasipolynomial
 from qshape.shape import PiecewisePolynomial, limit_shape
@@ -149,8 +152,8 @@ class TestRegions:
                         reason="the interpreter does not limit int to str conversion")
     def test_zone_values_longer_than_the_str_limit(self, capsys):
         # at n = 10^2200 the zone values of k = 3 have about 4 400 digits, more
-        # than str() converts by default: main lifts that limit while it
-        # writes the output, and restores it
+        # than str() converts by default: they print through _ratio, and the
+        # limit is left as it was
         from qshape.quasi import region_decomposition
 
         n, limit = 10 ** 2200, sys.get_int_max_str_digits()
@@ -1013,12 +1016,18 @@ def canonical_requests(draw):
     return argv
 
 
+# m 10^(1000 e) + r: integers of up to about 20 000 digits, from few random bits
+LONG_INTEGERS = st.builds(lambda m, e, r: m * 10**(1000 * e) + r, st.integers(0, 10**30),
+                          st.integers(0, 20), st.integers(0, 10**30))
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="the interpreter does not limit int to str conversion")
 class TestDigitLimit:
     """An integer option with more digits than int()'s limit, well-formed or
     not, is a usage error that states the digit count and the limit, and
-    echoes neither the value nor the name of the type function."""
+    echoes neither the value nor the name of the type function.  Printed
+    integers may have any length, and main never changes the limit."""
 
     @pytest.mark.parametrize("argv", [
         ["regions", "--n", "{big}", "--k", "3"],
@@ -1045,6 +1054,81 @@ class TestDigitLimit:
         assert capsys.readouterr() == ("", (
             "usage: qshape regions [-h] --n N --k K [--format {coeffs,csv,json}]\n"
             "qshape regions: error: argument --n: invalid _nonneg value: 'abc'\n"))
+
+    def test_overlapping_calls_leave_the_limit_alone(self, monkeypatch):
+        # A enters its write, B enters its own, A returns, then B: a main that
+        # lifted the limit while writing would end with B restoring the 0 it
+        # read, unlimited for the rest of the process
+        start = sys.get_int_max_str_digits()
+        a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
+        out, codes = {}, {}
+
+        class Hook:
+            def writelines(self, lines):
+                name = threading.current_thread().name
+                out[name] = "".join(lines)
+                (a_in if name == "A" else b_in).set()
+                (b_in if name == "A" else a_done).wait(10)
+
+            def flush(self):
+                pass
+
+        def call():
+            codes[threading.current_thread().name] = main(["regions", "--n", "50", "--k", "4"])
+
+        monkeypatch.setattr(sys, "stdout", Hook())
+        a, b = (threading.Thread(target=call, name=name) for name in "AB")
+        try:
+            a.start()
+            assert a_in.wait(10)
+            b.start()
+            assert b_in.wait(10)
+            a.join(10)
+            a_done.set()
+            b.join(10)
+            assert sys.get_int_max_str_digits() == start
+        finally:
+            sys.set_int_max_str_digits(start)
+        assert codes == {"A": 0, "B": 0} and out["A"] == out["B"] != ""
+
+    @settings(max_examples=40, deadline=None)
+    @given(LONG_INTEGERS, LONG_INTEGERS, st.integers(1, 10**30), st.booleans())
+    def test_ratio_matches_fraction_at_any_length(self, x, y, common, negative):
+        a, b = (-x if negative else x) * common, (y + 1) * common
+        text, limit = _ratio(a, b), sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # the oracle's str() needs no limit
+        try:
+            expected = str(Fraction(a, b))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text == expected
+
+    @pytest.mark.parametrize("n, k, fmt, digest", [
+        ("1" + "0" * 2200, "3", "coeffs",
+         "20c96605ee48694fb238e226e12e929dd845e556fea66c63b832055ff868646a"),
+        ("1" + "0" * 2200, "3", "csv",
+         "bdbb6fc26591d6a5219ec91d93853ecdbad2d434dcd0bcb49ebbbbdd689d453b"),
+        ("1" + "0" * 2200, "3", "json",
+         "625bf2485ae992cd0243bc17031fcc220916a6a24f4d7ac8d507df682d26f44b"),
+        ("9" * 4300, "2", "coeffs",
+         "479d7b45a6f89dbcc7780c08edb9e40fa846a1d77ad49c45f0b1bc924df3d648"),
+        ("9" * 4300, "2", "csv",
+         "0ac6edb8a87b41a75d021c8497c78cb92b08a15c917acdcb38db87652267229f"),
+        ("9" * 4300, "2", "json",
+         "4b943c198d3dfb4214fa9d216e6336ee84a738733a3febee6fb18031bb9076e8"),
+    ], ids=[f"{n}-{fmt}" for n in ("10^2200", "4300-nines") for fmt in ("coeffs", "csv", "json")])
+    def test_regions_past_the_limit_keep_their_bytes(self, n, k, fmt, digest, capsys):
+        # region bounds and zone values with more digits than str() converts
+        assert main(["regions", "--n", n, "--k", k, "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+    def test_too_small_n_states_long_values_by_digit_count(self, capsys):
+        # min_region_n of a 4 000-digit k has 8 000 digits
+        assert main(["regions", "--n", "0", "--k", "9" * 4000]) == 2
+        assert capsys.readouterr() == ("", "qshape: error: n=0 too small for k=a number of "
+                                           "4000 digits: need n >= a number of 8000 digits\n")
 
 
 def rejected_by_int(token):

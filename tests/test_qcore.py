@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qshape
 from qshape.errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
 from qshape.exactnum import Polynomial
 from qshape.measure import convergence_table
@@ -85,6 +88,19 @@ class TestQFactorial:
     def test_three_hand_expansion(self):
         # (1+q)(1+q+q^2) multiplied out by hand
         assert q_factorial(3) == Polynomial((1, 2, 2, 1))
+
+    def test_call_depth_does_not_grow_with_n(self):
+        # the product is built in a loop, not once per factor through the
+        # cache: under a recursion limit of 100, [200]!_q still has degree
+        # n(n-1)/2 and coefficient sum n!
+        src = os.path.dirname(os.path.dirname(qshape.__file__))
+        code = ("import math, sys\n"
+                "from qshape.qcore import q_factorial\n"
+                "sys.setrecursionlimit(100)\n"
+                "n, p = 200, q_factorial(200)\n"
+                "assert p.degree == n * (n - 1) // 2 and sum(p.coeffs) == math.factorial(n)\n")
+        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                       check=True, timeout=60)
 
 
 class TestQBinomial:
