@@ -1,8 +1,8 @@
 """Command-line surface: qshape <qbinom|regions|shape|converge|plot>.
 
 Exit status: 0 on success, 2 on a usage error (bad arguments or arguments
-outside an operation's domain), 1 on an internal error.  CSV output uses a
-header row, comma separation, and LF line endings; all outputs, SVG
+outside an operation's domain), 1 on an internal or i/o error.  CSV output
+uses a header row, comma separation, and LF line endings; all outputs, SVG
 included, are byte-identical for identical inputs.  Each cmd_* yields the
 lines of its output (plot writes its SVG to --out and yields none); main is
 the one writer of stdout and maps errors to exit statuses.
@@ -10,6 +10,7 @@ the one writer of stdout and maps errors to exit statuses.
 from __future__ import annotations
 
 import gc
+import io
 import os
 import sys
 from types import SimpleNamespace
@@ -70,7 +71,7 @@ def cmd_qbinom(args):
         import json
 
         doc = {"n": args.n, "k": args.k, "degree": poly.degree, "coefficients": poly.coeffs}
-        yield from (json.dumps(doc), "\n")
+        yield json.dumps(doc) + "\n"
 
 
 def cmd_regions(args):
@@ -96,8 +97,7 @@ def cmd_regions(args):
                    f'{json.dumps(f.residue_coefficients())}}}')
         yield '], "transition_zones": [' + ", ".join(
             f'{{"left": {left}, "right": {right}, "coefficients": [{", ".join(values)}]}}'
-            for left, right, values in zones) + "]}"
-        yield "\n"
+            for left, right, values in zones) + "]}\n"
         return
     csv = args.format == "csv"
     if csv:
@@ -285,17 +285,22 @@ def _parse(argv: list[str]):
 
 def main(argv=None) -> int:
     """Run one request and return its exit status.  With no argv, main runs
-    as the program (`python -m qshape.cli`, the `qshape` script) on
-    sys.argv and, once the output is flushed, freezes the collector: the
-    process exits next, and interpreter shutdown then skips the collection
-    passes over objects that the OS frees anyway.  main(argv) never freezes."""
-    if argv is None:
-        try:
-            return main(sys.argv[1:])
-        finally:
-            gc.freeze()
-    argv = list(argv)
+    as the program (`python -m qshape.cli`, the `qshape` script) on sys.argv,
+    through a stdout stream of its own, and freezes the collector once the
+    output is flushed: the process exits next, and interpreter shutdown then
+    skips the collection passes over objects that the OS frees anyway.
+    main(argv) writes to its caller's sys.stdout and never freezes."""
+    program = argv is None
+    argv = sys.argv[1:] if program else list(argv)
     try:
+        if program:  # 64 KiB blocks over fd 1 (lines on a terminal) whatever
+            # PYTHONUNBUFFERED says; the BufferedWriter retries a short write
+            if sys.stdout is None:
+                raise OSError("stdout is closed")
+            sys.stdout.flush()
+            binary = open(1, "wb", 1 << 16, closefd=False)
+            sys.stdout = io.TextIOWrapper(binary, sys.stdout.encoding, sys.stdout.errors, "\n",
+                                          line_buffering=binary.isatty())
         code = 0
         if argv == ["--version"]:
             sys.stdout.write(f"qshape {__version__}\n")
@@ -303,7 +308,6 @@ def main(argv=None) -> int:
             args = _parse(argv)
             if args is None:
                 import contextlib
-                import io
 
                 try:  # argparse drops a failed write, so it writes to a buffer
                     with contextlib.redirect_stdout(io.StringIO()) as text:
@@ -312,25 +316,24 @@ def main(argv=None) -> int:
                     args, code = None, int(exc.code or 0)
                 sys.stdout.write(text.getvalue())  # a vanished reader raises here
             if args is not None:
-                # one write per text; unbuffered stdout drops a short write, so a
-                # JSON document's newline is a write of its own to see a gone reader
                 sys.stdout.writelines(args.func(args))
         sys.stdout.flush()  # a failed write is reported below, not at exit
         return code
     except InvalidArguments as exc:
         print(f"qshape: error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader of stdout has gone (as with `| head`): stop quietly, and
-        # send what is still buffered to devnull so the flush at exit is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     except OSError as exc:
-        print(f"qshape: i/o error: {exc}", file=sys.stderr)
+        if not isinstance(exc, BrokenPipeError):  # else the reader has gone, as with `| head`
+            print(f"qshape: i/o error: {exc}", file=sys.stderr)
+        if program and exc.filename is None:  # stdout, not plot's --out, failed: send
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # its buffer to devnull at exit
         return 1
     except Exception as exc:  # pragma: no cover - internal-consistency failures
         print(f"qshape: internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    finally:
+        if program:
+            gc.freeze()
 
 
 if __name__ == "__main__":

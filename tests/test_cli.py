@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import hashlib
 import io
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -712,6 +714,23 @@ class TestPlot:
         assert not out_file.exists()
 
 
+# sha256 of stdout for outputs larger than the 64 KiB blocks that main writes,
+# as printed before main had a stdout stream of its own; the first three also
+# run against a slow reader of a non-blocking pipe
+LARGE_OUTPUT = {
+    "qbinom --n 800 --k 8":
+        "7286173cbecfb608a10740ddeaf63e8c40161cb05d4c693fa3407d74012d9ead",
+    "qbinom --n 3000 --k 8 --format json":
+        "e6b6f9cea40a3703a535b15d9348ade88c9b283c1aaaece52a52347e49c31a4c",
+    "regions --n 840 --k 7 --format json":
+        "3d89de8103b869b5b179f90d30435e84cbf0df1276143a25fd7888084c3e6408",
+    "shape --k 8 --samples 20000":
+        "d0822dbc967cd8c3eca8ac9f8e9b783ded4a1e5fbf97dee51e9828a33866868c",
+    "qbinom --n 2000 --k 8 --format json":
+        "8ab980b06881f0429ab5a990394808f5aa9a753cd7b92be4887d8ee0f03408fc",
+}
+
+
 def buffering_params(argvs):
     """(argv, unbuffered) for each argv in both stdout modes, with ids
     argvI and argvI-unbuffered."""
@@ -744,9 +763,9 @@ class TestClosedPipe:
         assert proc.wait(timeout=60) == 1
         proc.stderr.close()
 
-    # buffered stdout, the default, fails only at the flush; with
-    # PYTHONUNBUFFERED=1 the write itself fails, which argparse's own writer
-    # would swallow
+    # run as a program, main writes through its own buffered stream whatever
+    # PYTHONUNBUFFERED says, so the flush fails; argparse's own writer would
+    # swallow a failed write
     @pytest.mark.parametrize("argv, unbuffered", buffering_params(
         [["--version"], ["--help"], ["plot", "--help"]]))
     def test_reader_gone_before_version_or_help(self, argv, unbuffered):
@@ -759,6 +778,95 @@ class TestClosedPipe:
         finally:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (1, b"")
+
+    @pytest.mark.parametrize("argv, unbuffered", buffering_params(
+        [text.split() for text in LARGE_OUTPUT]))
+    def test_fast_reader_gets_every_byte(self, argv, unbuffered):
+        # each output is larger than the 64 KiB blocks main writes
+        done = subprocess.run([sys.executable, "-m", "qshape.cli", *argv], env=cli_env(unbuffered),
+                              capture_output=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert hashlib.sha256(done.stdout).hexdigest() == LARGE_OUTPUT[" ".join(argv)]
+
+    @pytest.mark.parametrize("argv, unbuffered", buffering_params(
+        [text.split() for text in list(LARGE_OUTPUT)[:3]]))
+    def test_slow_reader_of_a_nonblocking_pipe(self, argv, unbuffered):
+        # the pipe fills and a write fails with EAGAIN: the command either gets
+        # every byte through or says so, and never exits 0 with bytes missing
+        read_end, write_end = os.pipe()
+        os.set_blocking(write_end, False)
+        try:
+            proc = subprocess.Popen([sys.executable, "-m", "qshape.cli", *argv],
+                                    env=cli_env(unbuffered), stdout=write_end,
+                                    stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        chunks = []
+        with open(read_end, "rb", buffering=0) as reader:
+            while chunk := reader.read(4096):
+                chunks.append(chunk)
+                time.sleep(0.02)
+        _, err = proc.communicate(timeout=60)
+        if proc.returncode == 0:
+            digest = hashlib.sha256(b"".join(chunks)).hexdigest()
+            assert (digest, err) == (LARGE_OUTPUT[" ".join(argv)], b"")
+        else:
+            assert proc.returncode == 1
+            assert re.fullmatch(rb"qshape: i/o error: [^\n]*\n", err), err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv, unbuffered", buffering_params(
+        [["qbinom", "--n", "2", "--k", "2"], ["--version"], ["--help"]]))
+    def test_full_device(self, argv, unbuffered):
+        # every write to /dev/full fails with ENOSPC: one line, then exit 1
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run([sys.executable, "-m", "qshape.cli", *argv],
+                                  env=cli_env(unbuffered), stdout=full,
+                                  stderr=subprocess.PIPE, timeout=60)
+        assert done.returncode == 1
+        assert re.fullmatch(rb"qshape: i/o error: \[Errno %d\] [^\n]*\n" % errno.ENOSPC,
+                            done.stderr), done.stderr
+
+    @pytest.mark.parametrize("argv, unbuffered", buffering_params(
+        [["qbinom", "--n", "2", "--k", "2"], ["--version"], ["--help"]]))
+    def test_closed_stdout(self, argv, unbuffered):
+        # file descriptor 1 is closed before the interpreter starts, which
+        # leaves sys.stdout None
+        done = subprocess.run([sys.executable, "-m", "qshape.cli", *argv],
+                              env=cli_env(unbuffered), stderr=subprocess.PIPE,
+                              preexec_fn=lambda: os.close(1), timeout=60)
+        assert (done.returncode, done.stderr) == (1, b"qshape: i/o error: stdout is closed\n")
+
+    @pytest.mark.parametrize("argv, unbuffered", buffering_params(
+        [["converge", "--k", "2", "--n-list", "3,4"]]))
+    def test_terminal_gets_each_line_as_it_is_written(self, argv, unbuffered):
+        # the probe reads the terminal's other end before the next row is
+        # computed, and reports the last line it found there
+        master, slave = os.openpty()
+        probe = (
+            "import os, select, sys\n"
+            "import qshape.measure\n"
+            "table = qshape.measure.convergence_table\n"
+            "def rows(k, ns):\n"
+            "    for row in table(k, ns):\n"
+            "        yield row\n"
+            f"        ready = select.select([{master}], [], [], 10)[0]\n"
+            f"        seen = os.read({master}, 4096) if ready else b'nothing'\n"
+            "        print(seen.splitlines()[-1].decode(), file=sys.stderr)\n"
+            "qshape.measure.convergence_table = rows\n"
+            f"sys.argv = ['qshape', *{argv!r}]\n"
+            "from qshape.cli import main\n"
+            "code = main()\n"
+            "print(code, sys.stdout.line_buffering, file=sys.stderr)\n"
+        )
+        try:
+            done = subprocess.run([sys.executable, "-c", probe], env=cli_env(unbuffered),
+                                  stdout=slave, stderr=subprocess.PIPE, text=True,
+                                  pass_fds=(master,), timeout=60)
+        finally:
+            os.close(slave)
+            os.close(master)
+        assert done.stderr.splitlines() == ["3,0.177777777778", "4,0.141666666667", "0 True"]
 
 
 def run_probe(probe, closed):
@@ -840,6 +948,16 @@ class TestProgramExit:
                               env=cli_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 0
         assert done.stdout.startswith(f"qshape {qshape.__version__}\n")
+        assert "function calls" in done.stdout and "Ordered by:" in done.stdout
+
+    def test_profiler_report_survives_a_failed_out_file(self, tmp_path):
+        # an i/o error that names a file is plot's --out, not stdout, which
+        # stays open for whatever the process writes after main
+        out = tmp_path / "missing" / "p.svg"
+        done = subprocess.run([sys.executable, "-m", "cProfile", "-m", "qshape.cli", "plot",
+                               "--demo", "--out", str(out)],
+                              env=cli_env(), capture_output=True, text=True, timeout=60)
+        assert done.stderr.startswith(f"qshape: i/o error: [Errno {errno.ENOENT}] ")
         assert "function calls" in done.stdout and "Ordered by:" in done.stdout
 
 
