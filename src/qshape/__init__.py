@@ -1,7 +1,8 @@
 """Exact q-binomial coefficients, quasipolynomial regions, and limit shapes.
 
-The exported names are resolved on first access (PEP 562), so importing the
-package, or one submodule such as ``qshape.cli``, loads no other submodule.
+The exported names are looked up in their submodules on each access (PEP 562)
+and never stored here, so importing the package, or one submodule such as
+``qshape.cli``, loads no other submodule, and the package holds no state.
 """
 import importlib
 
@@ -32,9 +33,7 @@ def __getattr__(name: str):
         module = _MODULE_OF[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+    return getattr(importlib.import_module(f".{module}", __name__), name)
 
 
 def __dir__():

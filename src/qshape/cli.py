@@ -161,6 +161,10 @@ def cmd_plot(args):
     else:
         if args.n is None or args.k is None:
             raise InvalidArguments("plot needs --n and --k (or --demo)")
+        if args.overlay:  # first, so a k past SHAPE_MAX_K is refused before any work
+            from .shape import limit_shape
+
+            overlay = limit_shape(args.k)._grid(512)  # L_k at j/512
         if args.color_regions:
             from .quasi import _region_intervals
 
@@ -169,12 +173,8 @@ def cmd_plot(args):
 
         bars = q_binomial_box(args.n, args.k).coeffs
         title = f"coefficients of [{args.n}+{args.k} choose {args.k}]_q"
-        if args.overlay:
-            from .shape import limit_shape
-
-            # L_k at j/512 in bar-value units: L(x) * total / bars  (see --help)
-            values, den = limit_shape(args.k)._grid(512)
-            total = sum(bars)
+        if overlay:  # in bar-value units: L(x) * total / bars  (see --help)
+            (values, den), total = overlay, sum(bars)
             overlay = (tuple(v * total for v in values), den * len(bars))
     spec = PlotSpec(bar_heights=bars, width_px=args.width, height_px=args.height, title=title,
                     overlay=overlay, region_colors=fills)

@@ -200,6 +200,12 @@ def _ratio(a: int, b: int) -> str:
         return str(Decimal(a)) if b == 1 else f"{Decimal(a)}/{Decimal(b)}"
 
 
+def _brief(value: int) -> str:
+    """value in decimal, or its digit count when that is over 200 characters."""
+    text = _ratio(value, 1)
+    return text if len(text) <= 200 else f"a number of {len(text.lstrip('-'))} digits"
+
+
 def _horner(row: Sequence[int], a: int, b: int) -> int:
     """b^deg times the polynomial sum_m row[m] x^m at x = a/b, by homogeneous
     Horner: sum of row[m] a^m b^(deg-m), deg = len(row) - 1."""

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import threading
@@ -494,9 +495,10 @@ class TestStartup:
             "namespace = {}\n"
             "exec('from qshape import *', namespace)\n"
             "print(sorted(set(namespace) - {'__builtins__'}) == sorted(qshape.__all__),"
-            " listed, len(qshape.__all__))"
+            " listed, len(qshape.__all__), set(qshape.__all__) & set(vars(qshape)))"
         )
-        assert fresh_python(probe) == "True True 18\n"
+        # a resolved name is returned, not stored in the package
+        assert fresh_python(probe) == "True True 18 set()\n"
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -522,6 +524,21 @@ class TestStartup:
             " all(all(s[n] is final[n] for n in final) for s in seen))"
         )
         assert fresh_python(probe) == "8 True True\n"
+
+
+# sha256 of plot's SVG.  cmd_plot works out each picture's bars, title,
+# overlay and fills, then builds one PlotSpec: an overlay, the demo, a resized
+# demo, regions with the overlay, and regions at k = 11 keep these bytes
+PLOT_SVG = {
+    "--n 2000 --k 8 --overlay": "19cf5160c455c72b45e4730503241f82576e597fe0c5b8f51c7a884d26ae7489",
+    "--demo": "277ee3773c36bd2b89aa6c957ced5920fec3537ae638ae617056965d87327dc2",
+    "--demo --width 501 --height 200":
+        "10406e3f3fc2cdfb14cf579273aeacdb2c71950f4bb75be164273d6a91f2a1ce",
+    "--n 50 --k 4 --color-regions --overlay":
+        "7281af8a2d1f7d3f38823eff6d6fe728fce949c37157248a330247d66faaf76e",
+    "--n 2000 --k 11 --color-regions":
+        "0f141944293625fe2a9752e98626e0c2220b380da14dd0053bf7c986aa952201",
+}
 
 
 class TestPlot:
@@ -551,6 +568,12 @@ class TestPlot:
         main(["plot", "--n", "10", "--k", "4", "--out", str(out_file)])
         heights = bar_heights(out_file.read_text())
         assert heights[0] == heights[-1]
+
+    @pytest.mark.parametrize("flags", PLOT_SVG)
+    def test_svg_is_pinned(self, flags, tmp_path):
+        out_file = tmp_path / "p.svg"
+        assert main(["plot", *flags.split(), "--out", str(out_file)]) == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PLOT_SVG[flags]
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -658,6 +681,7 @@ class TestPlot:
         (10, 4, 333, 97, False),
         (300, 5, 7, 1000, False),
         (50, 4, 800, 300, True),
+        (209, 20, 800, 300, True),  # fills need no region formula: k may pass REGIONS_MAX_K
     ])
     def test_bars_match_fraction_oracle(self, tmp_path, n, k, width, height, colored):
         out_file = tmp_path / "p.svg"
@@ -714,9 +738,10 @@ class TestPlot:
         assert not out_file.exists()
 
 
-# sha256 of stdout for outputs larger than the 64 KiB blocks that main writes,
-# as printed before main had a stdout stream of its own; the first three also
-# run against a slow reader of a non-blocking pipe
+# sha256 of stdout, read from the program in both stdout modes.  The first
+# five are larger than the 64 KiB blocks that main writes, as printed before
+# main had a stdout stream of its own; the first three also run against a slow
+# reader of a non-blocking pipe
 LARGE_OUTPUT = {
     "qbinom --n 800 --k 8":
         "7286173cbecfb608a10740ddeaf63e8c40161cb05d4c693fa3407d74012d9ead",
@@ -728,6 +753,17 @@ LARGE_OUTPUT = {
         "d0822dbc967cd8c3eca8ac9f8e9b783ded4a1e5fbf97dee51e9828a33866868c",
     "qbinom --n 2000 --k 8 --format json":
         "8ab980b06881f0429ab5a990394808f5aa9a753cd7b92be4887d8ee0f03408fc",
+    # a limit shape stores its density alone and builds its CDF, a piecewise
+    # polynomial, where cdf() and the KS sweep read it, once per convergence
+    # table: an exact shape, two KS tables and a sample grid keep their bytes
+    "shape --k 160 --exact":
+        "56c98eb7643f7604a37865a03e5e3d742d87dbd79b3a15b5f6a83330dfeab679",
+    "converge --k 8 --n-list 1000,2000,4000":
+        "f27e422af2a403e030cc6668b23a068bc21304f111c7b17141a247fe89aa58a5",
+    "shape --k 40 --samples 1001":
+        "e5ac81c21da98850141e76020fc7486417e1684f66794d44bc792d2b3248d985",
+    "converge --k 160 --n-list 1,2,3,4,5,6,7,8":
+        "f22e0a46078067165ca4311944a11ca979e2e71704f4d3f06060c53c2c4c68cc",
 }
 
 
@@ -782,7 +818,6 @@ class TestClosedPipe:
     @pytest.mark.parametrize("argv, unbuffered", buffering_params(
         [text.split() for text in LARGE_OUTPUT]))
     def test_fast_reader_gets_every_byte(self, argv, unbuffered):
-        # each output is larger than the 64 KiB blocks main writes
         done = subprocess.run([sys.executable, "-m", "qshape.cli", *argv], env=cli_env(unbuffered),
                               capture_output=True, timeout=120)
         assert (done.returncode, done.stderr) == (0, b"")
@@ -959,6 +994,47 @@ class TestProgramExit:
                               env=cli_env(), capture_output=True, text=True, timeout=60)
         assert done.stderr.startswith(f"qshape: i/o error: [Errno {errno.ENOENT}] ")
         assert "function calls" in done.stdout and "Ordered by:" in done.stdout
+
+
+def run_bounded(argv, address_space, timeout):
+    """The program run on argv in `address_space` bytes of address space
+    (RLIMIT_AS, which `ulimit -v` sets), killed after `timeout` seconds."""
+    limit = (address_space, address_space)
+    return subprocess.run([sys.executable, "-m", "qshape.cli", *argv], env=cli_env(),
+                          capture_output=True, timeout=timeout,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+
+
+class TestCostBounds:
+    # regions builds no box polynomial, so its cost does not grow with n;
+    # converge builds the CDF table once and reads its grid as the KS sweep
+    # computes it.  Each keeps its bytes in this much address space
+    @pytest.mark.parametrize("argv, mib, digest", [
+        ("regions --n 1000000 --k 8", 256,
+         "6868aff66d74691460ef98093964be22a1924b68ca75b6e2a1eaa93849254a5e"),
+        ("converge --k 8 --n-list 100000", 128,
+         "2f24ec8032120fe7ab3e4d6669364aac05f59ce35b63921c118c9c0f552d6a7a"),
+    ], ids=["regions", "converge"])
+    def test_runs_in_bounded_memory(self, argv, mib, digest):
+        done = run_bounded(argv.split(), mib << 20, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+    # a k past SHAPE_MAX_K or REGIONS_MAX_K is refused before any work that
+    # grows with k; a command that started that work would run out of its
+    # 1 GiB or time out
+    @pytest.mark.parametrize("argv", [
+        "shape --k 257 --samples 2", "shape --k 100000 --exact", "shape --k {nines} --samples 2",
+        "converge --k 3000 --n-list 1", "plot --n 2 --k 5000 --overlay --out {out}",
+        "plot --n 20000000 --k 5000 --color-regions --overlay --out {out}",
+        "regions --n 90 --k 13", "regions --n 1000 --k 25", "regions --n 10000 --k 40",
+    ])
+    def test_k_past_its_bound_is_refused(self, argv, tmp_path):
+        out = tmp_path / "p.svg"
+        done = run_bounded(argv.format(nines="9" * 4000, out=out).split(), 1 << 30, timeout=2)
+        assert (done.returncode, done.stdout, done.stderr.count(b"\n")) == (2, b"", 1)
+        assert done.stderr.startswith(b"qshape: error: ") and len(done.stderr) < 300
+        assert b"need k <= " in done.stderr and not out.exists()
 
 
 # stdout, stderr and exit status at COLUMNS=80, as argparse wrote them before
