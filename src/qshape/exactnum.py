@@ -182,10 +182,15 @@ def _integer_rows(polys: Sequence[Polynomial]) -> tuple[tuple[tuple[int, ...], .
     return tuple(tuple(c.numerator * den // c.denominator for c in row) for row in padded), den
 
 
-def _lowest_terms(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple, int]:
-    """rows/den (den > 0) with the common gcd of den and every entry divided out."""
-    g = math.gcd(den, *(c for row in rows for c in row))
-    return tuple(tuple(c // g for c in row) for row in rows), den // g
+def _lowest_terms(cols: Iterable[Sequence[int]], den: int) -> tuple[tuple, int]:
+    """The canonical form of an exact table: the columns cols (the top one
+    last) over den > 0, with all-zero top columns dropped (one stays) and
+    then the common gcd of den and every entry divided out."""
+    cols = list(cols)
+    while len(cols) > 1 and not any(cols[-1]):
+        cols.pop()
+    g = math.gcd(den, *(c for col in cols for c in col))
+    return tuple(tuple(c // g for c in col) for col in cols), den // g
 
 
 def _ratio(a: int, b: int) -> str:

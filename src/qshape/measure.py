@@ -8,11 +8,10 @@ continuous CDF is attained) and only then rounded to a float.
 """
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
-from .exactnum import Polynomial, _integer_rows
+from .exactnum import Polynomial, _integer_rows, _lowest_terms
 from .qcore import q_binomial_box
 from .shape import PiecewisePolynomial, limit_shape
 
@@ -50,8 +49,9 @@ def measure_from_polynomial(p: Polynomial) -> EmpiricalMeasure:
     if any(c < 0 for c in p.coeffs):
         raise NegativeCoefficient("measure needs non-negative coefficients")
     (coeffs,), _ = _integer_rows([p])
-    g = math.gcd(*coeffs)
-    return EmpiricalMeasure(tuple(c // g for c in coeffs), sum(coeffs) // g)
+    # one column over the total: gcd(total, coeffs) is gcd(coeffs)
+    (coeffs,), total = _lowest_terms([coeffs], sum(coeffs))
+    return EmpiricalMeasure(coeffs, total)
 
 
 def _ks(coeffs: Sequence[int], total: int, cdf: PiecewisePolynomial) -> float:

@@ -46,7 +46,7 @@ class Quasipolynomial(_Frozen):
 
     cols[i] is den times the coefficient of m^i at its least period, a divisor
     of period: residue r reads cols[i][r % len(cols[i])].  Stored in lowest
-    terms (_canonical); repr shows period and polys."""
+    terms (exactnum._lowest_terms); repr shows period and polys."""
 
     __slots__ = ("period", "cols", "den")
     _fields = ("period", "polys")
@@ -59,12 +59,9 @@ class Quasipolynomial(_Frozen):
 
     @classmethod
     def _canonical(cls, period: int, cols, den: int) -> Quasipolynomial:
-        """cols/den (column lengths dividing period) in lowest terms: columns at their
-        least periods, all-zero top ones dropped (one stays), common gcd divided out."""
-        cols = list(map(_least_period, cols))
-        while len(cols) > 1 and cols[-1] == (0,):
-            cols.pop()
-        return cls._make(period, *_lowest_terms(cols, den))
+        """cols/den (column lengths dividing period), each column cut to its
+        least period, in the canonical form of _lowest_terms."""
+        return cls._make(period, *_lowest_terms(map(_least_period, cols), den))
 
     @property
     def polys(self) -> tuple[Polynomial, ...]:

@@ -31,9 +31,9 @@ class PiecewisePolynomial(_Frozen):
     """Continuous piecewise polynomial on [0,1]; piece i governs [i/k, (i+1)/k].
 
     Stores the pieces (a limit shape's density) alone, as integer rows over
-    one denominator in lowest terms (_canonical), so equality reads them; the
-    Fraction pieces and the CDF (_cdf) are derived where they are read.  repr
-    shows k and pieces.
+    one denominator in lowest terms (exactnum._lowest_terms), so equality
+    reads them; the Fraction pieces and the CDF (_cdf) are derived where they
+    are read.  repr shows k and pieces.
     """
 
     __slots__ = ("k", "_density")
@@ -46,12 +46,10 @@ class PiecewisePolynomial(_Frozen):
 
     @classmethod
     def _canonical(cls, k: int, rows, den: int) -> PiecewisePolynomial:
-        """Piece i is sum_m rows[i][m]/den x^m, stored in lowest terms: all-zero
-        top columns dropped (one column stays), then the common gcd divided out."""
-        width = len(rows[0])
-        while width > 1 and not any(row[width - 1] for row in rows):
-            width -= 1
-        return cls._make(k, _lowest_terms([row[:width] for row in rows], den))
+        """Piece i is sum_m rows[i][m]/den x^m, stored as rows again after the
+        columns m take the canonical form of _lowest_terms."""
+        cols, den = _lowest_terms(zip(*rows), den)
+        return cls._make(k, (tuple(zip(*cols)), den))
 
     def _cdf(self) -> PiecewisePolynomial:
         """The CDF, built from the pieces on each call: piece i is piece i's

@@ -61,6 +61,15 @@ def q_integer(n):
     return Polynomial((1,) * n)
 
 
+def parts_at_most_k_denominator(k):
+    """(1-q)(1-q^2)...(1-q^k): its reciprocal series counts the partitions
+    into parts at most k."""
+    den = Polynomial((1,))
+    for i in range(1, k + 1):
+        den = mul(den, sub(1, monomial(i)))
+    return den
+
+
 def series_fit_formulas(n, k):
     """The k region formulas of [n+k choose k]_q, each fitted from its own
     integer series: the numerator terms of blocks <= r, divided by

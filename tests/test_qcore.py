@@ -26,7 +26,7 @@ from qshape.qcore import (
 from qshape.quasi import initial_quasipolynomial, numerator_expansion, reciprocal_series
 from qshape.shape import limit_shape
 
-from oracles import mul, q_integer
+from oracles import mul, parts_at_most_k_denominator, q_integer
 
 
 def quotient_oracle(n, k):
@@ -184,10 +184,7 @@ def padded_box(n, k, count):
 
 def parts_at_most(k, count):
     """The first count coefficients of 1 / ((1-q)...(1-q^k))."""
-    den = Polynomial((1,))
-    for i in range(1, k + 1):
-        den = mul(den, Polynomial((1,) + (0,) * (i - 1) + (-1,)))
-    return reciprocal_series(den, count)
+    return reciprocal_series(parts_at_most_k_denominator(k), count)
 
 
 class TestBoxSeries:

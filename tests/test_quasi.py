@@ -28,19 +28,12 @@ from qshape.quasi import (
     region_decomposition,
 )
 
-from oracles import add, monomial, mul, series_fit_formulas, sub
+from oracles import add, monomial, mul, parts_at_most_k_denominator, series_fit_formulas, sub
 
 
 def two_periods(k):
     """2 lcm(1..k), the least n these tests have long drawn regions from."""
     return 2 * math.lcm(*range(1, k + 1))
-
-
-def parts_at_most_k_denominator(k):
-    den = Polynomial((1,))
-    for i in range(1, k + 1):
-        den = mul(den, sub(1, monomial(i)))
-    return den
 
 
 class TestReciprocalSeries:

@@ -8,6 +8,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qshape.exactnum import Polynomial
 from qshape.measure import convergence_table, measure_from_polynomial
@@ -127,6 +129,52 @@ def test_quasipolynomials_from_the_same_polys_are_equal():
             assert rebuilt == q and hash(rebuilt) == hash(q)
             assert (rebuilt.cols, rebuilt.den) == (q.cols, q.den)
             assert pickle.loads(pickle.dumps(q)) == q
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def tables(draw, kind):
+    """(size, cols, zero, den): a random exact table of the given type as
+    integer columns over den, their lengths dividing the period or all k for
+    k rows, and an all-zero column that fits the table."""
+    size = draw(st.integers(1, 6))
+    if kind == "Quasipolynomial":
+        lengths = draw(st.lists(st.sampled_from(divisors(size)), min_size=1, max_size=4))
+        zero = draw(st.sampled_from(divisors(size)))
+    else:
+        lengths, zero = [size] * draw(st.integers(1, 4)), size
+    cols = [tuple(draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))) for n in lengths]
+    return size, cols, (0,) * zero, draw(st.integers(1, 60))
+
+
+def canonical(kind, size, cols, den):
+    """kind._canonical of the table given as columns."""
+    if kind == "Quasipolynomial":
+        return Quasipolynomial._canonical(size, cols, den)
+    return PiecewisePolynomial._canonical(size, tuple(zip(*cols)), den)
+
+
+@pytest.mark.parametrize("kind", ["Quasipolynomial", "PiecewisePolynomial"])
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_canonical_form_drops_zero_columns_and_common_factors(kind, data):
+    # exactnum._lowest_terms is the one canonical form: the table scaled by g
+    # with all-zero top columns appended stores exactly what the bare table
+    # does, and a stored table is already canonical
+    size, cols, zero, den = data.draw(tables(kind))
+    g, extra = data.draw(st.integers(1, 10 ** 6)), data.draw(st.integers(0, 3))
+    bare = canonical(kind, size, cols, den)
+    scaled = canonical(kind, size, [tuple(c * g for c in col) for col in cols] + [zero] * extra,
+                       den * g)
+    if kind == "Quasipolynomial":
+        again = Quasipolynomial._canonical(size, bare.cols, bare.den)
+    else:
+        again = PiecewisePolynomial._canonical(size, *bare._density)
+    for value in (scaled, again):
+        assert value._values() == bare._values() and hash(value) == hash(bare)
 
 
 @pytest.mark.parametrize("kind", ["Polynomial", "Quasipolynomial", "PiecewisePolynomial"])
