@@ -32,15 +32,16 @@ def _invalid(message: str) -> Exception:
 
 def _nonneg(text: str, low: int = 0) -> int:
     """int(text), which must be >= low: the one check of every integer option.
-    An error states a long value by its decimal digits (as int() counts them):
-    one past the interpreter's limit, or one below low over 200 characters."""
+    A token past the interpreter's limit is stated by its decimal digits (as
+    int() counts them), and a value below low by exactnum._brief."""
     digits = sum(map(str.isdecimal, text))
     limit = getattr(sys, "get_int_max_str_digits", int)()  # int() = 0: no limit
     if limit and digits > limit:
         raise _invalid(f"has {digits} digits, more than this interpreter's limit of {limit}")
     if (value := int(text)) < low:
-        got = value if len(text) <= 200 else f"a number of {digits} digits"
-        raise _invalid(f"must be >= {low}, got {got}")
+        from .exactnum import _brief  # only on this error branch: --version loads no exactnum
+
+        raise _invalid(f"must be >= {low}, got {_brief(value)}")
     return value
 
 

@@ -270,18 +270,14 @@ def min_region_n(k: int) -> int:
 REGIONS_MAX_K = 12
 
 
-def _check_region_n(n: int, k: int) -> None:
-    """InvalidArguments unless k >= 1 and n >= min_region_n(k)."""
+def _region_intervals(n: int, k: int) -> list[tuple[int, int]]:
+    """(left, right) of regions 0..k-1 of (n, k) in closed form (see Region);
+    InvalidArguments unless k >= 1 and n >= min_region_n(k)."""
     if k < 1:
         raise InvalidArguments("needs k >= 1")
     if n < min_region_n(k):
         n_text, k_text, need = map(_brief, (n, k, min_region_n(k)))
         raise InvalidArguments(f"n={n_text} too small for k={k_text}: need n >= {need}")
-
-
-def _region_intervals(n: int, k: int) -> list[tuple[int, int]]:
-    """(left, right) of regions 0..k-1 of (n, k) in closed form (see Region)."""
-    _check_region_n(n, k)
     return [(r * n + r * (r + 1) // 2 + r * (k - r),
              n * k if r == k - 1 else (r + 1) * n + (r + 1) * (r + 2) // 2 - 1)
             for r in range(k)]
@@ -299,8 +295,7 @@ def region_decomposition(n: int, k: int) -> RegionDecomposition:
     formula gives zone r - 1's values, as its validity contains the zone.
     A k over REGIONS_MAX_K is refused once n is known to be large enough.
     """
-    _check_region_n(n, k)
-    if k > REGIONS_MAX_K:
+    if k > REGIONS_MAX_K and n >= min_region_n(k):
         raise InvalidArguments(f"region formulas need k <= {REGIONS_MAX_K}, got k={_brief(k)}: "
                                "the base series holds 2k*lcm(1..k) terms, 9369360 at k = 13")
     intervals = _region_intervals(n, k)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import qshape
 from qshape.cli import (_COMMANDS, _EXCLUSIVE, _build_parser, _n_list, _nonneg, _parse,
                         _positive, main)
-from qshape.exactnum import _ratio
+from qshape.exactnum import _brief, _ratio
 from qshape.qcore import q_binomial_box
 from qshape.quasi import demo_quasipolynomial
 from qshape.shape import PiecewisePolynomial, limit_shape
@@ -528,12 +528,13 @@ class TestStartup:
 
 # sha256 of plot's SVG.  cmd_plot works out each picture's bars, title,
 # overlay and fills, then builds one PlotSpec: an overlay, the demo, a resized
-# demo, regions with the overlay, and regions at k = 11 keep these bytes
+# demo, regions alone and with the overlay, and regions at k = 11 keep these bytes
 PLOT_SVG = {
     "--n 2000 --k 8 --overlay": "19cf5160c455c72b45e4730503241f82576e597fe0c5b8f51c7a884d26ae7489",
     "--demo": "277ee3773c36bd2b89aa6c957ced5920fec3537ae638ae617056965d87327dc2",
     "--demo --width 501 --height 200":
         "10406e3f3fc2cdfb14cf579273aeacdb2c71950f4bb75be164273d6a91f2a1ce",
+    "--n 50 --k 4 --color-regions": "2baa98bb8bb781cb79c2303a16ac8e38a98c18c26367d3b989c1b82a0923bf11",
     "--n 50 --k 4 --color-regions --overlay":
         "7281af8a2d1f7d3f38823eff6d6fe728fce949c37157248a330247d66faaf76e",
     "--n 2000 --k 11 --color-regions":
@@ -1334,6 +1335,30 @@ def rejected_by_int(token):
     return False
 
 
+# the digit 0 of a few Unicode scripts; int() reads each script's 0..9
+DIGIT_ZEROS = ("0", "\u0660", "\u0966", "\uff10", "\U0001d7ce")
+
+
+@st.composite
+def below_the_bound(draw):
+    """(option, bound, token): a token int() reads as a value below the bound,
+    padded with zeros, spaces and underscores and
+    written partly in non-ASCII digits; short values and ones past _brief's
+    200 characters, so that stderr stays under 300 bytes."""
+    option, low = draw(st.sampled_from([("--n", 0), ("--k", 1)]))
+    value = draw(st.one_of(st.integers(1 - low, 10**100),
+                           st.integers(10**201, 10**300)))
+    digits = "0" * draw(st.integers(0, 300)) + str(value)
+    written = ""
+    for i, d in enumerate(digits):
+        if i and draw(st.integers(0, 9)) == 0:
+            written += "_"  # int() takes one underscore between digits
+        written += chr(ord(draw(st.sampled_from(DIGIT_ZEROS))) + int(d))
+    pad = st.text(st.sampled_from(" \t\u3000"), max_size=300)
+    sign = "-" if value or draw(st.booleans()) else ""
+    return option, low, f"{draw(pad)}{sign}{written}{draw(pad)}"
+
+
 class TestRejectedValueMessage:
     """A rejected integer gets one short message from the check that rejected
     it: a bad --n-list entry is named alone, cut at 200 characters, and a long
@@ -1363,6 +1388,25 @@ class TestRejectedValueMessage:
                                monkeypatch, capsys)
         assert len(err.encode()) < 300
         assert "argument --n: must be >= 0, got a number of 4000 digits" in err
+
+    @pytest.mark.parametrize("token", ["-" + "0" * 300 + "1", " " * 300 + "-1"],
+                             ids=["leading-zeros", "leading-spaces"])
+    def test_padded_token_states_its_value(self, token, monkeypatch, capsys):
+        # the value is short however long its token: padding is not a digit of it
+        err = self.usage_error(["regions", "--n", token, "--k", "3"], monkeypatch, capsys)
+        assert err.endswith("argument --n: must be >= 0, got -1\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(below_the_bound())
+    def test_value_below_the_bound_is_stated_by_brief(self, case):
+        option, low, token = case
+        argv = ["regions", *(f"{o}={t}" for o, t in {"--n": "5", "--k": "3", option: token}.items())]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert out.getvalue() == "" and len(err.getvalue().encode()) < 300
+        assert err.getvalue().endswith(f"argument {option}: must be >= {low}, "
+                                       f"got {_brief(int(token))}\n")
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=5),

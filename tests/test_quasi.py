@@ -516,6 +516,24 @@ class TestRegionDecomposition:
         with pytest.raises(InvalidArguments, match="^needs k >= 1$"):
             quasi._region_intervals(5, 0)
 
+    @pytest.mark.parametrize("k", [-2, 0, 1, 4, 9, 12, 13, 25])
+    def test_too_small_n_is_reported_first(self, k):
+        # _region_intervals holds the one check of k and n: below min_region_n(k),
+        # region_decomposition raises its message, also for k past REGIONS_MAX_K
+        for n in (-1, min_region_n(k) - 1):
+            with pytest.raises(InvalidArguments) as expected:
+                quasi._region_intervals(n, k)
+            with pytest.raises(InvalidArguments) as raised:
+                region_decomposition(n, k)
+            assert str(raised.value) == str(expected.value), (n, k)
+
+    @pytest.mark.parametrize("k", [13, 25])
+    def test_k_past_its_bound_is_refused_once_n_is_large_enough(self, k):
+        for n in (min_region_n(k), 10**6):
+            with pytest.raises(InvalidArguments, match=f"^region formulas need k <= "
+                                                       f"{quasi.REGIONS_MAX_K}, got k={k}: "):
+                region_decomposition(n, k)
+
     def test_intervals_match_the_decomposition(self):
         # the closed form against the regions, and against its derivation from
         # the numerator terms: left is the largest exponent of blocks <= r,
