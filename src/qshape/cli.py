@@ -249,10 +249,40 @@ def _build_parser():
     return parser
 
 
+def _flags(token: str, options) -> list[str]:
+    """The flags, of the command's options and -h/--help, that argparse may
+    read token as: the one it names, else for a "--" token every flag it
+    abbreviates (the text after an "=" is a value).  A token that reads as
+    none of them is a value, even when it starts with "-"."""
+    name = token.partition("=")[0]
+    if name in options or name == "-h":
+        return [name]
+    if not name.startswith("--"):
+        return []
+    return [flag for flag in (*options, "--help") if flag.startswith(name)]
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each value that starts with "-" joined by "=" to the flag
+    before it, the one form in which argparse reads such a value.  A token
+    that names a flag (_flags) is no value, and nothing after "--" is joined."""
+    options = _COMMANDS[argv[0]][2] if argv and argv[0] in _COMMANDS else {}
+    valued = {flag for flag, keywords in options.items() if "action" not in keywords}
+    joined = argv[:1]
+    for token in argv[1:]:
+        flag = [] if "=" in joined[-1] or "--" in joined else _flags(joined[-1], options)
+        if (len(flag) == 1 and flag[0] in valued and token.startswith("-")
+                and not _flags(token, options)):
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def _parse(argv: list[str]):
     """The namespace argparse gives a well-formed request: a command, then
-    exact flags of it, each value in its own token not starting with "-" and
-    passing the flag's type and choices.  None for any other argv (help,
+    exact flags of it, each value in its own token, naming no flag (_flags)
+    and passing the flag's type and choices.  None for any other argv (help,
     "--form", "--n=5", "-1", a bad value), which is left to argparse."""
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -265,8 +295,8 @@ def _parse(argv: list[str]):
         if "action" in keywords:  # store_true
             given[flag] = True
             continue
-        text = next(tokens, "-")  # a missing value is left to argparse as well
-        if text.startswith("-"):
+        text = next(tokens, "--")  # a missing value is left to argparse as well
+        if _flags(text, options):
             return None
         try:
             given[flag] = value = keywords.get("type", str)(text)
@@ -312,7 +342,7 @@ def main(argv=None) -> int:
 
                 try:  # argparse drops a failed write, so it writes to a buffer
                     with contextlib.redirect_stdout(io.StringIO()) as text:
-                        args = _build_parser().parse_args(argv)
+                        args = _build_parser().parse_args(_joined(argv))
                 except SystemExit as exc:  # argparse has written help or a usage error
                     args, code = None, int(exc.code or 0)
                 sys.stdout.write(text.getvalue())  # a vanished reader raises here

@@ -76,7 +76,8 @@ def _ks(coeffs: Sequence[int], total: int, cdf: PiecewisePolynomial) -> float:
 
 
 def ks_distance(em: EmpiricalMeasure, shape: PiecewisePolynomial) -> float:
-    """Kolmogorov-Smirnov distance between the measure and the shape (_ks)."""
+    """Kolmogorov-Smirnov distance between the measure and the limit shape,
+    swept (_ks) against its closed-form CDF (PiecewisePolynomial._cdf)."""
     return _ks(em.coeffs, em.total, shape._cdf())
 
 

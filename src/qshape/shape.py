@@ -8,9 +8,9 @@ density on an interval, rescaled to [0,1].  Writing the convolution density
     IH_k(t) = 1/(k-1)! * sum_{j=0..floor(t)} (-1)^j C(k,j) (t-j)^(k-1)
 
 gives L_k(x) = k * IH_k(k*x), one exact rational polynomial of degree k-1
-per interval [i/k, (i+1)/k].  Geometrically sqrt(k) * IH_k(t) is the
-(k-1)-volume of the slice of the unit k-cube by the hyperplane with
-coordinate sum t.
+per interval [i/k, (i+1)/k]; its CDF at x is the same sum at power k over
+k!, at t = k*x.  Geometrically sqrt(k) * IH_k(t) is the (k-1)-volume of the
+slice of the unit k-cube by the hyperplane with coordinate sum t.
 """
 from __future__ import annotations
 
@@ -28,12 +28,11 @@ if TYPE_CHECKING:
 
 
 class PiecewisePolynomial(_Frozen):
-    """Continuous piecewise polynomial on [0,1]; piece i governs [i/k, (i+1)/k].
-
-    Stores the pieces (a limit shape's density) alone, as integer rows over
-    one denominator in lowest terms (exactnum._lowest_terms), so equality
-    reads them; the Fraction pieces and the CDF (_cdf) are derived where they
-    are read.  repr shows k and pieces.
+    """L_k (or, from _cdf, its CDF) as a continuous piecewise polynomial on
+    [0,1]; piece i governs [i/k, (i+1)/k].  The constructor accepts L_k's
+    pieces only, so the Irwin-Hall closed form is always the CDF.  The pieces
+    alone are stored, as integer rows over one denominator in lowest terms
+    (exactnum._lowest_terms), so equality reads them.  repr shows k and pieces.
     """
 
     __slots__ = ("k", "_density")
@@ -42,7 +41,9 @@ class PiecewisePolynomial(_Frozen):
     def __new__(cls, k: int, pieces: tuple[Polynomial, ...]):
         if k < 1 or len(pieces) != k:
             raise InvalidArguments("need exactly one piece per interval [i/k, (i+1)/k]")
-        return cls._canonical(k, *_integer_rows(pieces))
+        if (shape := cls._canonical(k, *_integer_rows(pieces))) != limit_shape(k):
+            raise InvalidArguments(f"the pieces are not those of the limit shape L_{k}")
+        return shape
 
     @classmethod
     def _canonical(cls, k: int, rows, den: int) -> PiecewisePolynomial:
@@ -52,18 +53,9 @@ class PiecewisePolynomial(_Frozen):
         return cls._make(k, (tuple(zip(*cols)), den))
 
     def _cdf(self) -> PiecewisePolynomial:
-        """The CDF, built from the pieces on each call: piece i is piece i's
-        antiderivative plus the earlier pieces' integrals, over den*lcm(1..w)*k^w
-        (w the row length; breakpoints by homogeneous Horner at i/k)."""
-        (rows, den), k, width = self._density, self.k, len(self._density[0][0])
-        scale, kw = math.lcm(*range(1, width + 1)), k ** width
-        cdf, below = [], 0
-        for i, row in enumerate(rows):
-            anti = (0,) + tuple(c * (scale // (m + 1)) for m, c in enumerate(row))
-            left = _horner(anti, i, k)
-            cdf.append((below - left,) + tuple(c * kw for c in anti[1:]))
-            below += _horner(anti, i + 1, k) - left
-        return self._canonical(k, cdf, den * scale * kw)
+        """L_k's CDF, built on each call: piece i is the Irwin-Hall CDF at k*x,
+        1/k! * sum_{j<=i} (-1)^j C(k,j) (k*x - j)^k (_irwin_hall_rows at power k)."""
+        return self._canonical(self.k, _irwin_hall_rows(self.k, self.k), math.factorial(self.k))
 
     @property
     def pieces(self) -> tuple[Polynomial, ...]:
@@ -80,7 +72,7 @@ class PiecewisePolynomial(_Frozen):
         return Fraction(_horner(row, a, b), den * b ** (len(row) - 1))
 
     def cdf(self, x: Scalar) -> Fraction:
-        """Exact integral from 0 to x."""
+        """Exact integral of L_k from 0 to x, read from the closed-form CDF (_cdf)."""
         return self._cdf().evaluate(x)
 
     def _grid(self, d: int) -> tuple[Iterator[int], int]:
@@ -105,10 +97,24 @@ class PiecewisePolynomial(_Frozen):
         return values(), den * b**deg
 
 
-# The largest k whose limit shape is built.  Its table holds k^2 integers of
-# O(k log k) bits, and its CDF costs about k^4: on a 2-core Xeon, L_256 takes
-# 0.24 s and its CDF 2.2 s (98 MB peak), and L_320 0.5 s and 4.8 s (181 MB).
+# The largest k whose limit shape is built.  The density and the CDF each
+# hold about k^2 integers of O(k log k) bits, built by _irwin_hall_rows in
+# about k^2 big-integer operations: that table is what bounds k.
 SHAPE_MAX_K = 256
+
+
+def _irwin_hall_rows(k: int, power: int) -> list[list[int]]:
+    """Row i (i = 0..k-1) holds the x^m coefficients, m = 0..power, of
+    sum_{j<=i} (-1)^j C(k,j) (k*x - j)^power: the one sum behind both L_k
+    (power k-1) and its CDF (power k).  The x^m coefficient of
+    (k*x - j)^power is C(power,m) k^m (-j)^(power-m)."""
+    column = [math.comb(power, m) * k ** m for m in range(power + 1)]
+    rows, row = [], [0] * (power + 1)
+    for j in range(k):
+        sign = (-1) ** j * math.comb(k, j)
+        row = [c + sign * f * (-j) ** (power - m) for m, (c, f) in enumerate(zip(row, column))]
+        rows.append(row)
+    return rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,15 +126,8 @@ def limit_shape(k: int) -> PiecewisePolynomial:
     if k > SHAPE_MAX_K:
         raise InvalidArguments(f"limit shapes need k <= {SHAPE_MAX_K}, got k={_brief(k)}: "
                                f"its table would hold k^2 integers (k^2 = {_brief(k * k)})")
-    # piece i is k/(k-1)! * sum_{j<=i} (-1)^j C(k,j) (k*x - j)^(k-1), and the
-    # x^m coefficient of (k*x - j)^(k-1) is C(k-1,m) k^m (-j)^(k-1-m)
-    column = [math.comb(k - 1, m) * k ** (m + 1) for m in range(k)]
-    rows, row = [], [0] * k
-    for j in range(k):
-        sign = (-1) ** j * math.comb(k, j)
-        row = [c + sign * f * (-j) ** (k - 1 - m) for m, (c, f) in enumerate(zip(row, column))]
-        rows.append(tuple(row))
-    return PiecewisePolynomial._canonical(k, tuple(rows), math.factorial(k - 1))
+    rows = [[k * c for c in row] for row in _irwin_hall_rows(k, k - 1)]
+    return PiecewisePolynomial._canonical(k, rows, math.factorial(k - 1))
 
 
 def irwin_hall_density(k: int, t: Scalar) -> Fraction:

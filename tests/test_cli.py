@@ -16,12 +16,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qshape
-from qshape.cli import (_COMMANDS, _EXCLUSIVE, _build_parser, _n_list, _nonneg, _parse,
-                        _positive, main)
+from qshape.cli import (_COMMANDS, _EXCLUSIVE, _build_parser, _flags, _joined, _n_list, _nonneg,
+                        _parse, _positive, main)
 from qshape.exactnum import _brief, _ratio
 from qshape.qcore import q_binomial_box
 from qshape.quasi import demo_quasipolynomial
@@ -1015,7 +1015,9 @@ class TestCostBounds:
          "6868aff66d74691460ef98093964be22a1924b68ca75b6e2a1eaa93849254a5e"),
         ("converge --k 8 --n-list 100000", 128,
          "2f24ec8032120fe7ab3e4d6669364aac05f59ce35b63921c118c9c0f552d6a7a"),
-    ], ids=["regions", "converge"])
+        ("converge --k 256 --n-list 1,2", 128,
+         "1163cac60341402f66bebc246d67bfb7f3532f497ffbc42686e5173a8001484a"),
+    ], ids=["regions", "converge", "converge-at-the-k-bound"])
     def test_runs_in_bounded_memory(self, argv, mib, digest):
         done = run_bounded(argv.split(), mib << 20, timeout=120)
         assert (done.returncode, done.stderr) == (0, b"")
@@ -1144,6 +1146,24 @@ PINNED = [
      "",
      "usage: qshape converge [-h] --k K --n-list a,b,c\n"
      "qshape converge: error: argument --n-list: n list is empty\n"),
+    (["regions", "--n", "--k", "3"], 2,
+     "",
+     "usage: qshape regions [-h] --n N --k K [--format {coeffs,csv,json}]\n"
+     "qshape regions: error: argument --n: expected one argument\n"),
+]
+
+# a value that starts with "-" and names no flag: the space form does what
+# the "=" form does (argparse alone would read the value as a flag); the
+# SVG of the plot request is pinned by its sha256
+SPACE_FORM = [
+    (["regions", "--n", "-1_0", "--k", "3"], 2,
+     "usage: qshape regions [-h] --n N --k K [--format {coeffs,csv,json}]\n"
+     "qshape regions: error: argument --n: must be >= 0, got -10\n"),
+    (["converge", "--k", "2", "--n-list", "-1,2"], 2,
+     "usage: qshape converge [-h] --k K --n-list a,b,c\n"
+     "qshape converge: error: argument --n-list: must be >= 0, got -1\n"),
+    (["plot", "--n", "5", "--k", "2", "--out", "-x.svg"], 0,
+     "068703db49029803282a28333efc375d53d24616f5aaff45f839976f39416569"),
 ]
 
 PARSER = _build_parser()
@@ -1151,18 +1171,20 @@ FLAGS = sorted({flag for _, _, options in _COMMANDS.values() for flag in options
 # abbreviations ("--n" for converge's --n-list is one too), "=" values, help,
 # "--" and the top-level flag: each one is left to argparse
 OTHERS = [*FLAGS, "--form", "--n=5", "-h", "--", "--version"]
-VALUES = ["0", "7", "-1", "", " 7", "\u0663", "5,,6", "csv", "xml", "--k", "-h"]
+VALUES = ["0", "7", "-1", "", " 7", "\u0663", "5,,6", "csv", "xml", "--k", "-h",
+          "-1_0", "-1,2", "-x.svg"]
 VALID = {_nonneg: st.integers(0, 10**6).map(str),
          _positive: st.integers(1, 10**6).map(str),
          _n_list: st.lists(st.integers(0, 10**6), min_size=1, max_size=4).map(
              lambda ns: ",".join(map(str, ns))),
          str: st.text(st.characters(exclude_categories=("Cs",)), max_size=8).filter(
-             lambda t: not t.startswith("-"))}
+             lambda t: not _flags(t, _COMMANDS["plot"][2]))}
 
 
 def argparse_namespace(argv):
+    """The namespace of main's fallback: argparse on the joined argv."""
     try:
-        return vars(PARSER.parse_args(argv))
+        return vars(PARSER.parse_args(_joined(argv)))
     except SystemExit:  # pragma: no cover - reported by the assertion below
         return None
 
@@ -1440,6 +1462,44 @@ class TestParser:
         assert _parse(argv) is None
         code = main(argv)
         assert (code, *capsys.readouterr()) == (status, out, err)
+
+    @pytest.mark.parametrize("argv, status, pinned", SPACE_FORM,
+                             ids=[" ".join(argv) for argv, _, _ in SPACE_FORM])
+    def test_value_starting_with_a_dash_reads_as_its_equals_form(
+            self, argv, status, pinned, monkeypatch, capsys, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        i = next(i for i, token in enumerate(argv)
+                 if token.startswith("-") and not token.startswith("--"))
+        value = argv[i]
+        equals_form = argv[:i - 1] + [f"{argv[i - 1]}={value}"] + argv[i + 1:]
+        assert _joined(argv) == equals_form
+        for form in (argv, equals_form):
+            code, (out, err) = main(form), capsys.readouterr()
+            assert (code, out) == (status, "")
+            if status:
+                assert err == pinned
+            else:
+                svg = (tmp_path / value).read_bytes()
+                assert err == "" and hashlib.sha256(svg).hexdigest() == pinned
+                (tmp_path / value).unlink()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["regions --n {} --k 3", "regions --k {} --n 30",
+                            "qbinom --format {} --n 3 --k 2", "converge --n-list {} --k 2",
+                            "converge --n {} --k 2", "shape --samples {} --k 2"]),
+           st.text(st.characters(exclude_categories=("Cs",)), max_size=8).map(lambda t: "-" + t))
+    def test_space_form_does_what_the_equals_form_does(self, template, value):
+        # any value that starts with "-" and names no flag of the command
+        (*head, flag), tail = (part.split() for part in template.split("{}"))
+        assume(not _flags(value, _COMMANDS[head[0]][2]))
+        outputs = []
+        for form in ([flag, value], [f"{flag}={value}"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*head, *form, *tail])
+            outputs.append((code, out.getvalue(), err.getvalue()))
+        assert outputs[0] == outputs[1]
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshape.errors import InvalidArguments, OutOfDomain
-from qshape.exactnum import Polynomial, _integer_rows
+from qshape.exactnum import Polynomial, _horner, _integer_rows
 from qshape.shape import (
+    SHAPE_MAX_K,
     PiecewisePolynomial,
     cube_slice_volume,
     irwin_hall_density,
@@ -77,14 +78,41 @@ def cdf_pieces_oracle(shape):
     return tuple(cdf_pieces)
 
 
+def cdf_reference(shape):
+    """The CDF table of any table of pieces, by integration over integers:
+    piece i is piece i's antiderivative plus the earlier pieces' integrals,
+    over den*lcm(1..w)*k^w (w the row length; breakpoints by homogeneous
+    Horner at i/k).  The closed form (PiecewisePolynomial._cdf) is checked
+    against it, and it is the CDF of the random tables."""
+    (rows, den), k, width = shape._density, shape.k, len(shape._density[0][0])
+    scale, kw = math.lcm(*range(1, width + 1)), k ** width
+    cdf, below = [], 0
+    for i, row in enumerate(rows):
+        anti = (0,) + tuple(c * (scale // (m + 1)) for m, c in enumerate(row))
+        left = _horner(anti, i, k)
+        cdf.append((below - left,) + tuple(c * kw for c in anti[1:]))
+        below += _horner(anti, i + 1, k) - left
+    return PiecewisePolynomial._canonical(k, cdf, den * scale * kw)
+
+
 def random_shape(data, k):
-    """A PiecewisePolynomial on k random pieces: unequal degrees, zero pieces,
-    integer or rational coefficients."""
+    """A table on k random pieces: unequal degrees, zero pieces, integer or
+    rational coefficients.  The constructor takes L_k's pieces only, so the
+    table is built by _canonical, and its CDF is cdf_reference's."""
     coefficient = st.fractions(min_value=-100, max_value=100, max_denominator=50)
-    return PiecewisePolynomial(k, tuple(
+    return PiecewisePolynomial._canonical(k, *_integer_rows([
         Polynomial(data.draw(st.lists(coefficient, max_size=7), label=f"piece {i}"))
         for i in range(k)
-    ))
+    ]))
+
+
+def drawn_shape(data, k, random_k):
+    """L_k and its closed-form CDF, or a random table on random_k pieces and
+    its reference CDF."""
+    if data.draw(st.booleans(), label="limit shape"):
+        return limit_shape(k), limit_shape(k)._cdf()
+    shape = random_shape(data, random_k)
+    return shape, cdf_reference(shape)
 
 
 def power_sum_pieces(k):
@@ -119,6 +147,20 @@ class TestLimitShapePieces:
         with pytest.raises(InvalidArguments):
             PiecewisePolynomial(3, (Polynomial((1,)),))
 
+    def test_constructor_takes_the_limit_shapes_pieces_only(self):
+        for k in range(1, 9):
+            shape = limit_shape(k)
+            assert PiecewisePolynomial(k, power_sum_pieces(k)) == shape
+            others = [shape._cdf().pieces, (Polynomial((0, 1)),) * k,
+                      shape.pieces[:-1] + (mul(shape.pieces[-1], 2),)]
+            if k > 1:
+                others.append(shape.pieces[1:] + shape.pieces[:1])
+            for pieces in others:
+                with pytest.raises(InvalidArguments, match=f"not those of the limit shape L_{k}"):
+                    PiecewisePolynomial(k, pieces)
+        with pytest.raises(InvalidArguments, match=f"need k <= {SHAPE_MAX_K}"):
+            PiecewisePolynomial(SHAPE_MAX_K + 1, (Polynomial(()),) * (SHAPE_MAX_K + 1))
+
     def test_matches_power_sum_oracle(self):
         for k in range(1, 16):
             assert limit_shape(k).pieces == power_sum_pieces(k)
@@ -152,6 +194,18 @@ class TestEvaluate:
 
 
 class TestCdf:
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.integers(1, 64))
+    def test_closed_form_is_the_integrated_density(self, k):
+        shape = limit_shape(k)
+        assert shape._cdf() == cdf_reference(shape)
+        assert shape._cdf()._density == cdf_reference(shape)._density
+
+    @pytest.mark.parametrize("k", [160, 256])
+    def test_closed_form_is_the_integrated_density_at_large_k(self, k):
+        shape = limit_shape(k)
+        assert shape._cdf()._density == cdf_reference(shape)._density
+
     def test_total_mass(self):
         for k in range(1, 11):
             assert limit_shape(k).cdf(1) == 1
@@ -189,9 +243,10 @@ class TestIntegerKernel:
         # pieces of unequal degrees, zero pieces, integer or rational coefficients
         k = data.draw(st.integers(1, 5), label="k")
         shape = random_shape(data, k)
+        cdf = cdf_reference(shape)
         for x in data.draw(st.lists(self.rationals, min_size=1, max_size=5), label="xs"):
             assert shape.evaluate(x) == evaluate_oracle(shape, x)
-            assert shape.cdf(x) == cdf_oracle(shape, x)
+            assert cdf.evaluate(x) == cdf_oracle(shape, x)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.data())
@@ -199,16 +254,12 @@ class TestIntegerKernel:
         # the KS sweep's pre-scaled grid against the CDF at every j/d,
         # for L_k and for random pieces of unequal degrees
         k = data.draw(st.integers(1, 8), label="k")
-        if data.draw(st.booleans(), label="limit shape"):
-            shape = limit_shape(k)
-        else:
-            shape = random_shape(data, k)
+        shape, cdf = drawn_shape(data, k, k)
         d = data.draw(st.integers(0, 300), label="d")
-        cdf = shape._cdf()
         values, den = cdf._grid(d)
         rows, row_den = cdf._density
         assert den == row_den * max(d, 1) ** (len(rows[0]) - 1)
-        assert list(values) == [shape.cdf(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
+        assert list(values) == [cdf.evaluate(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.data())
@@ -234,28 +285,24 @@ class TestIntegerKernel:
         # the integer tables equal _integer_rows of the Fraction pieces and of
         # the Fraction CDF pieces (antiderivative plus the earlier integrals)
         k = data.draw(st.integers(1, 10), label="k")
-        if data.draw(st.booleans(), label="limit shape"):
-            shape = limit_shape(k)
-        else:
-            shape = random_shape(data, min(k, 5))
+        shape, cdf = drawn_shape(data, k, min(k, 5))
         assert shape._density == _integer_rows(shape.pieces)
-        assert shape._cdf()._density == _integer_rows(cdf_pieces_oracle(shape))
+        assert cdf._density == _integer_rows(cdf_pieces_oracle(shape))
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.data())
     def test_cdf_is_the_piecewise_polynomial_of_its_pieces(self, data):
-        # _cdf() is the record PiecewisePolynomial builds from the Fraction
-        # CDF pieces, and cdf(x) is its value at x
+        # the CDF table is the record _canonical builds from the Fraction CDF
+        # pieces, and L_k's cdf(x) is its value at x
         k = data.draw(st.integers(1, 10), label="k")
-        if data.draw(st.booleans(), label="limit shape"):
-            shape = limit_shape(k)
-        else:
-            shape = random_shape(data, min(k, 5))
-        cdf = shape._cdf()
+        shape, cdf = drawn_shape(data, k, min(k, 5))
         assert type(cdf) is PiecewisePolynomial
-        assert cdf == PiecewisePolynomial(shape.k, cdf_pieces_oracle(shape))
+        rows, den = _integer_rows(cdf_pieces_oracle(shape))
+        assert cdf == PiecewisePolynomial._canonical(shape.k, rows, den)
         for x in data.draw(st.lists(self.rationals, min_size=1, max_size=5), label="xs"):
-            assert shape.cdf(x) == cdf.evaluate(x) == cdf_oracle(shape, x)
+            assert cdf.evaluate(x) == cdf_oracle(shape, x)
+            if shape == limit_shape(shape.k):
+                assert shape.cdf(x) == cdf.evaluate(x)
 
     def test_breakpoints_and_ends(self):
         for k in range(1, 9):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qshape.errors import InvalidArguments
 from qshape.exactnum import Polynomial
 from qshape.measure import convergence_table, measure_from_polynomial
 from qshape.qcore import coefficient_report, q_binomial_box
@@ -100,7 +101,8 @@ def test_piecewise_polynomials_from_the_same_pieces_are_equal():
         assert rebuilt._cdf() == shape._cdf()
         assert "_cdf" not in repr(rebuilt) and "_density" not in repr(rebuilt)
     assert limit_shape(3) != limit_shape(4)
-    assert limit_shape(2) != PiecewisePolynomial(2, limit_shape(2).pieces[::-1])
+    with pytest.raises(InvalidArguments):  # the constructor takes L_k's pieces only
+        PiecewisePolynomial(2, limit_shape(2).pieces[::-1])
 
 
 def test_piecewise_polynomial_pickled_with_a_cdf_slot_loads():
