@@ -144,7 +144,7 @@ def cmd_converge(args):
 
 
 def cmd_plot(args):
-    from .svgplot import PlotSpec, region_fills, render_svg
+    from .svgplot import region_fills, render_svg
 
     overlay = fills = None
     if args.demo:
@@ -177,10 +177,15 @@ def cmd_plot(args):
         if overlay:  # in bar-value units: L(x) * total / bars  (see --help)
             (values, den), total = overlay, sum(bars)
             overlay = (tuple(v * total for v in values), den * len(bars))
-    spec = PlotSpec(bar_heights=bars, width_px=args.width, height_px=args.height, title=title,
-                    overlay=overlay, region_colors=fills)
+    try:  # rendered in full before --out is opened, so a failure leaves it as it was
+        svg = render_svg(bars, args.width, args.height, title, overlay, fills)
+    except OverflowError:
+        from .exactnum import _brief
+
+        raise InvalidArguments(f"plot --width {_brief(args.width)} --height {_brief(args.height)}"
+                               ": a coordinate passes the float range") from None
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_svg(spec))
+        handle.write(svg)
     yield from ()  # the SVG file is the output: no lines for stdout
 
 

@@ -26,7 +26,7 @@ from qshape.exactnum import _brief, _ratio
 from qshape.qcore import q_binomial_box
 from qshape.quasi import demo_quasipolynomial
 from qshape.shape import PiecewisePolynomial, limit_shape
-from qshape.svgplot import PlotSpec, _fmt, render_svg
+from qshape.svgplot import _fmt, render_svg
 
 
 def run(capsys, *argv):
@@ -485,6 +485,15 @@ class TestStartup:
         )
         assert fresh_python(probe) == "['qshape.svgplot']\n"
 
+    def test_svgplot_imports_no_module(self):
+        import ast
+
+        import qshape.svgplot
+
+        with open(qshape.svgplot.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
     def test_every_export_resolves(self):
         probe = (
             "import sys, qshape\n"
@@ -527,8 +536,10 @@ class TestStartup:
 
 
 # sha256 of plot's SVG.  cmd_plot works out each picture's bars, title,
-# overlay and fills, then builds one PlotSpec: an overlay, the demo, a resized
-# demo, regions alone and with the overlay, and regions at k = 11 keep these bytes
+# overlay and fills, then passes them to one render_svg call: an overlay, the
+# demo, a resized demo, regions alone and with the overlay, and regions at
+# k = 11 keep these bytes, and so do three pictures 10^20 pixels wide or tall
+W20 = 10**20
 PLOT_SVG = {
     "--n 2000 --k 8 --overlay": "19cf5160c455c72b45e4730503241f82576e597fe0c5b8f51c7a884d26ae7489",
     "--demo": "277ee3773c36bd2b89aa6c957ced5920fec3537ae638ae617056965d87327dc2",
@@ -539,16 +550,35 @@ PLOT_SVG = {
         "7281af8a2d1f7d3f38823eff6d6fe728fce949c37157248a330247d66faaf76e",
     "--n 2000 --k 11 --color-regions":
         "0f141944293625fe2a9752e98626e0c2220b380da14dd0053bf7c986aa952201",
+    f"--demo --width {W20}": "003341c071ccaf5cd1a60f338f39673c197220219211a92e2dced3114bff4bbd",
+    f"--demo --height {W20}": "a52657c6da2f31a435069ad6901aa215e2ae31ff7b6ca6c44b4905a426cbd693",
+    f"--n 3 --k 2 --overlay --color-regions --width {W20} --height {W20}":
+        "7dd9de029442d6c8e4cda3e3d50a26ae07d702e08952e7450a67cc228c431109",
 }
+
+# sizes past the float range, with the one stderr line each gets: a height of
+# 4300 digits passes str()'s digit limit once the margins are added, and the
+# last request gives the longest message there is, a 200-digit value in full
+PAST_FLOAT_RANGE = [
+    pytest.param(f"--demo --height 1{'0' * 400}", "800", "a number of 401 digits",
+                 id="height-401-digits"),
+    pytest.param(f"--demo --width 1{'0' * 309}", "a number of 310 digits", "300",
+                 id="width-310-digits"),
+    pytest.param(f"--n 1 --k 1 --width 1{'0' * 309}", "a number of 310 digits", "300",
+                 id="two-bars-width-310-digits"),
+    pytest.param(f"--demo --height {'9' * 4300}", "800", "a number of 4300 digits",
+                 id="height-4300-digits"),
+    pytest.param(f"--n 3 --k 2 --overlay --width 1{'0' * 199} --height {'9' * 4300}",
+                 f"1{'0' * 199}", "a number of 4300 digits", id="longest-message"),
+]
 
 
 class TestPlot:
     def test_title_escaping(self):
-        spec = PlotSpec(bar_heights=(1,), width_px=10, height_px=10, title='a & b <c> "d"')
         assert (
             '<text x="15" y="20" text-anchor="middle" font-family="sans-serif" '
             'font-size="14">a &amp; b &lt;c&gt; "d"</text>'
-        ) in render_svg(spec).splitlines()
+        ) in render_svg((1,), 10, 10, 'a & b <c> "d"').splitlines()
 
     def test_plain_bars(self, tmp_path, capsys):
         out_file = tmp_path / "p.svg"
@@ -666,16 +696,51 @@ class TestPlot:
         st.integers(1, 1000),
     )
     def test_overlay_render_matches_fraction_oracle(self, bars, values, den, width, height):
-        spec = PlotSpec(tuple(bars), width, height, "", overlay=(tuple(values), den))
+        svg = render_svg(tuple(bars), width, height, "", overlay=(tuple(values), den))
         # point j of n + 1 values sits at j/n of the width (a single one at 0)
         points = [(Fraction(j, max(len(values) - 1, 1)), Fraction(v, den))
                   for j, v in enumerate(values)]
-        assert polyline(render_svg(spec)) == polyline_oracle(bars, width, height, points)
+        assert polyline(svg) == polyline_oracle(bars, width, height, points)
 
     @pytest.mark.parametrize("overlay", [((), 1), ((1, 2), 0)])
     def test_overlay_needs_a_value_and_a_positive_den(self, overlay):
         with pytest.raises(ValueError, match="overlay"):
-            render_svg(PlotSpec((1, 2), 10, 10, "", overlay=overlay))
+            render_svg((1, 2), 10, 10, "", overlay=overlay)
+
+    @pytest.mark.parametrize("bars, fills, match", [
+        ((), None, "at least one bar"),
+        ((1, -1), None, "non-negative"),
+        ((1, 2), ("red",), "one fill per bar"),
+        ((1, 2), ("red", "red", "red"), "one fill per bar"),
+        ((0, 0), None, "all bars are zero"),
+    ])
+    def test_render_refuses_bad_bars_and_fills(self, bars, fills, match):
+        with pytest.raises(ValueError, match=match):
+            render_svg(bars, 10, 10, "", region_colors=fills)
+
+    @pytest.mark.parametrize("flags, width, height", PAST_FLOAT_RANGE)
+    def test_size_past_the_float_range_is_usage_error(self, tmp_path, capsys, flags, width,
+                                                      height):
+        out_file = tmp_path / "p.svg"
+        assert main(["plot", *flags.split(), "--out", str(out_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"qshape: error: plot --width {width} --height {height}: "
+                       "a coordinate passes the float range\n")
+        assert len(err.encode()) < 300
+        assert not out_file.exists()
+
+    def test_failed_render_leaves_out_as_it_was(self, tmp_path, capsys):
+        # the picture is rendered in full before --out is opened
+        keep, new = tmp_path / "keep.svg", tmp_path / "new.svg"
+        assert main(["plot", "--demo", "--out", str(keep)]) == 0
+        before = keep.read_bytes()
+        assert len(before) == 4009
+        assert main(["plot", "--demo", "--height", f"1{'0' * 400}", "--out", str(keep)]) == 2
+        assert keep.read_bytes() == before
+        assert main(["plot", "--demo", "--width", f"1{'0' * 309}", "--out", str(new)]) == 2
+        assert not new.exists()
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("n, k, width, height, colored", [
         (2, 2, 800, 300, False),
@@ -708,8 +773,8 @@ class TestPlot:
         st.integers(1, 1000),
     )
     def test_bar_render_matches_fraction_oracle(self, bars, width, height):
-        spec = PlotSpec(tuple(bars), width, height, "")
-        assert svg_bars(render_svg(spec)) == bar_oracle(bars, width, height)
+        svg = render_svg(tuple(bars), width, height, "")
+        assert svg_bars(svg) == bar_oracle(bars, width, height)
 
     def test_demo_two_branches(self, tmp_path):
         out_file = tmp_path / "d.svg"

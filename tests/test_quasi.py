@@ -233,6 +233,19 @@ def assert_zone_values(decomp, true):
         assert values == true[left:right + 1], (decomp.n, decomp.k, left)
 
 
+def assert_formulas_reflect(n, k, ms=()):
+    """G_(k-1-r)(m) = G_r(nk - m) for every region r, exactly, at m over two
+    periods on each side of 0 and at each of ms: the box's palindromy
+    c_m = c_(nk-m) carried over to the formulas.  Only the formulas reflect;
+    the intervals are conservative and are not mirror images."""
+    formulas = [region.formula for region in region_decomposition(n, k).regions]
+    period = formulas[0].period
+    for r, f in enumerate(formulas):
+        g = formulas[k - 1 - r]
+        for m in (*range(-2 * period, 2 * period), *ms):
+            assert f._numerator(m) * g.den == g._numerator(n * k - m) * f.den, (n, k, r, m)
+
+
 class TestInitialQuasipolynomial:
     def test_k1_constant_one(self):
         q = initial_quasipolynomial(1)
@@ -610,6 +623,19 @@ class TestRegionDecomposition:
                     for poly in region.formula.polys
                 }
                 assert len(tops) == 1
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(st.data())
+    def test_formulas_reflect_property(self, data):
+        k = data.draw(st.integers(1, 7), label="k")
+        n = data.draw(st.integers(min_region_n(k), 10**20 + 3), label="n")
+        ms = data.draw(st.lists(st.integers(-10**25, 10**25), max_size=20), label="ms")
+        assert_formulas_reflect(n, k, ms)
+
+    @pytest.mark.parametrize("n, k", [(35, 8), (44, 9), (10**20 + 3, 8), (10**20 + 3, 9)])
+    def test_formulas_reflect(self, n, k):
+        assert min_region_n(k) <= n
+        assert_formulas_reflect(n, k, (n, n * k // 2, 10**25 + 1, -(10**25) - 7))
 
 
 class TestQuasipolynomialType:

@@ -19,7 +19,6 @@ from qshape.quasi import (
     Quasipolynomial, SignedTerm, demo_quasipolynomial, initial_quasipolynomial, region_decomposition,
 )
 from qshape.shape import PiecewisePolynomial, limit_shape
-from qshape.svgplot import PlotSpec
 
 
 def build(kind):
@@ -39,14 +38,11 @@ def build(kind):
         return decomp.regions[1] if kind == "Region" else decomp
     if kind == "EmpiricalMeasure":
         return measure_from_polynomial(q_binomial_box(3, 2))
-    if kind == "ConvergenceRow":
-        return convergence_table(2, [4])[0]
-    return PlotSpec((1, 2), 10, 20, "t", overlay=((0, 1), 2))
+    return convergence_table(2, [4])[0]
 
 
 KINDS = ["Polynomial", "Quasipolynomial", "PiecewisePolynomial", "CoefficientReport",
-         "SignedTerm", "Region", "RegionDecomposition", "EmpiricalMeasure", "ConvergenceRow",
-         "PlotSpec"]
+         "SignedTerm", "Region", "RegionDecomposition", "EmpiricalMeasure", "ConvergenceRow"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
