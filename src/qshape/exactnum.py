@@ -130,10 +130,7 @@ class Polynomial(_Frozen):
 
     def evaluate(self, x: Scalar) -> Scalar:
         """Exact Horner evaluation; returns Fraction when x or coeffs are."""
-        acc: Scalar = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x, 1)
 
     def antiderivative(self) -> Polynomial:
         """Antiderivative with zero constant term, exact over Fractions."""
@@ -211,7 +208,7 @@ def _brief(value: int) -> str:
     return text if len(text) <= 200 else f"a number of {len(text.lstrip('-'))} digits"
 
 
-def _horner(row: Sequence[int], a: int, b: int) -> int:
+def _horner(row: Sequence[Scalar], a: Scalar, b: int) -> Scalar:
     """b^deg times the polynomial sum_m row[m] x^m at x = a/b, by homogeneous
     Horner: sum of row[m] a^m b^(deg-m), deg = len(row) - 1."""
     acc, power = 0, 1

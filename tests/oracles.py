@@ -41,6 +41,12 @@ def monomial(exponent, coefficient=1):
     return Polynomial((0,) * exponent + (coefficient,))
 
 
+def value(p, x):
+    """p(x) as the plain sum of c_m x^m, term by term: the reference the
+    package's Horner loops are checked against."""
+    return sum(c * x ** m for m, c in enumerate(_promote(p).coeffs))
+
+
 def derivative(p):
     return Polynomial(tuple(i * c for i, c in enumerate(p.coeffs) if i))
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import gc
@@ -419,9 +420,11 @@ def cli_env(unbuffered=False):
 
 
 def fresh_python(code):
-    """stdout of `code` run in a new interpreter that imports this package."""
+    """stdout of `code` run in a new interpreter that imports this package,
+    without `site` (-S), so that a probe of sys.modules sees only what the
+    code imports (the `site` of 3.13.13 loads inspect)."""
     result = subprocess.run(
-        [sys.executable, "-c", code], env=cli_env(), capture_output=True, text=True,
+        [sys.executable, "-S", "-c", code], env=cli_env(), capture_output=True, text=True,
         timeout=60, check=True,
     )
     return result.stdout
@@ -1105,8 +1108,33 @@ class TestCostBounds:
         assert b"need k <= " in done.stderr and not out.exists()
 
 
+def _invalid_choice():
+    """The running argparse's message for the invalid choice 'c' of (a, b)."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_argument("x", choices=["a", "b"])
+    with pytest.raises(argparse.ArgumentError) as caught:
+        parser.parse_args(["c"])
+    return str(caught.value)
+
+
+# the quote that argparse puts around each choice it lists for an invalid
+# one: "'" in 3.10.13 through 3.13.0, none in 3.13.13, None for any other
+# wording, which then fails only the rows that list choices, naming it
+CHOICE_WORDING = _invalid_choice()
+CHOICE_QUOTE = {"argument x: invalid choice: 'c' (choose from 'a', 'b')": "'",
+                "argument x: invalid choice: 'c' (choose from a, b)": ""}.get(CHOICE_WORDING)
+
+
+def choice_list(*names):
+    """The choices of an invalid choice as the running argparse lists them."""
+    if CHOICE_QUOTE is None:
+        return f"<unknown argparse wording of an invalid choice: {CHOICE_WORDING!r}>"
+    return ", ".join(f"{CHOICE_QUOTE}{name}{CHOICE_QUOTE}" for name in names)
+
+
 # stdout, stderr and exit status at COLUMNS=80, as argparse wrote them before
-# the parser was built from the option table
+# the parser was built from the option table; the two lists of choices follow
+# the running argparse (choice_list), every other byte is a literal
 PINNED = [
     (["--help"], 0,
      "usage: qshape [-h] [--version] {qbinom,regions,shape,converge,plot} ...\n"
@@ -1189,7 +1217,7 @@ PINNED = [
      "",
      "usage: qshape [-h] [--version] {qbinom,regions,shape,converge,plot} ...\n"
      "qshape: error: argument command: invalid choice: 'frobnicate' "
-     "(choose from 'qbinom', 'regions', 'shape', 'converge', 'plot')\n"),
+     f"(choose from {choice_list('qbinom', 'regions', 'shape', 'converge', 'plot')})\n"),
     (["qbinom", "--k", "2"], 2,
      "",
      "usage: qshape qbinom [-h] --n N --k K [--format {coeffs,csv,json}]\n"
@@ -1202,7 +1230,7 @@ PINNED = [
      "",
      "usage: qshape regions [-h] --n N --k K [--format {coeffs,csv,json}]\n"
      "qshape regions: error: argument --format: invalid choice: 'xml' "
-     "(choose from 'coeffs', 'csv', 'json')\n"),
+     f"(choose from {choice_list('coeffs', 'csv', 'json')})\n"),
     (["shape", "--k", "3", "--exact", "--samples", "5"], 2,
      "",
      "usage: qshape shape [-h] --k K [--exact | --samples SAMPLES]\n"

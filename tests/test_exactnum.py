@@ -10,7 +10,7 @@ from qshape.exactnum import (
     Polynomial, _horner, _integer_rows, _polys, _ratio, solve_linear_rational,
 )
 
-from oracles import add, derivative, mul, scale_arg, sub
+from oracles import add, derivative, mul, scale_arg, sub, value
 
 
 def P(*coeffs):
@@ -139,7 +139,7 @@ class TestRowKernels:
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6),
            st.integers(-50, 50), st.integers(1, 50))
     def test_horner_is_scaled_evaluation(self, row, a, b):
-        expected = b ** (len(row) - 1) * Polynomial(row).evaluate(Fraction(a, b))
+        expected = b ** (len(row) - 1) * value(Polynomial(row), Fraction(a, b))
         assert _horner(row, a, b) == expected
 
     @settings(max_examples=100, deadline=None, database=None)
@@ -150,6 +150,11 @@ class TestRowKernels:
 
 
 class TestEvaluateAndCalculus:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(polys, scalars)
+    def test_evaluate_is_the_term_sum(self, p, x):
+        assert p.evaluate(x) == value(p, x)
+
     def test_horner_exact(self):
         assert P(1, 2, 3).evaluate(Fraction(1, 2)) == Fraction(1) + 1 + Fraction(3, 4)
 

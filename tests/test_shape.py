@@ -16,7 +16,7 @@ from qshape.shape import (
     limit_shape,
 )
 
-from oracles import add, derivative, mul, scale_arg, sub
+from oracles import add, derivative, mul, scale_arg, sub, value
 
 
 def convolved_uniform_pieces(k):
@@ -48,9 +48,9 @@ def piece_index(shape, x):
 
 
 def evaluate_oracle(shape, x):
-    """The value at x by Fraction Horner on the governing piece."""
+    """The value at x, summed term by term on the governing piece."""
     x = Fraction(x)
-    return Fraction(shape.pieces[piece_index(shape, x)].evaluate(x))
+    return Fraction(value(shape.pieces[piece_index(shape, x)], x))
 
 
 def cdf_oracle(shape, x):
@@ -61,9 +61,9 @@ def cdf_oracle(shape, x):
     total = Fraction(0)
     for j in range(i):
         anti = shape.pieces[j].antiderivative()
-        total += anti.evaluate(Fraction(j + 1, shape.k)) - anti.evaluate(Fraction(j, shape.k))
+        total += value(anti, Fraction(j + 1, shape.k)) - value(anti, Fraction(j, shape.k))
     anti = shape.pieces[i].antiderivative()
-    return total + anti.evaluate(x) - anti.evaluate(Fraction(i, shape.k))
+    return total + value(anti, x) - value(anti, Fraction(i, shape.k))
 
 
 def cdf_pieces_oracle(shape):
@@ -72,9 +72,9 @@ def cdf_pieces_oracle(shape):
     cdf_pieces, below = [], Fraction(0)
     for i, piece in enumerate(shape.pieces):
         anti = piece.antiderivative()
-        left = anti.evaluate(Fraction(i, shape.k))
+        left = value(anti, Fraction(i, shape.k))
         cdf_pieces.append(add(anti, below - left))
-        below += anti.evaluate(Fraction(i + 1, shape.k)) - left
+        below += value(anti, Fraction(i + 1, shape.k)) - left
     return tuple(cdf_pieces)
 
 
