@@ -4,8 +4,10 @@ Exit status: 0 on success, 2 on a usage error (bad arguments or arguments
 outside an operation's domain), 1 on an internal or i/o error.  CSV output
 uses a header row, comma separation, and LF line endings; all outputs, SVG
 included, are byte-identical for identical inputs.  Each cmd_* yields the
-lines of its output (plot writes its SVG to --out and yields none); main is
-the one writer of stdout and maps errors to exit statuses.
+lines of its output (plot writes its SVG to --out and yields none); main
+writes them, and argparse writes help and --version text, to the same
+sys.stdout; main reports a failed write of either and maps errors to exit
+statuses.
 """
 from __future__ import annotations
 
@@ -237,7 +239,16 @@ _EXCLUSIVE = {"shape": ("--exact", "--samples")}  # mutually exclusive flags
 def _build_parser():
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        # help and --version go to sys.stdout, where main reports a failed
+        # write; argparse's own writer drops one.  stderr keeps argparse's
+        def _print_message(self, message, file=None):
+            if file is sys.stdout:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
+
+    parser = Parser(
         prog="qshape",
         description="Coefficients of [n+k choose k]_q, their quasipolynomial "
         "regions, limit shapes, and convergence diagnostics.",
@@ -343,14 +354,10 @@ def main(argv=None) -> int:
         else:
             args = _parse(argv)
             if args is None:
-                import contextlib
-
-                try:  # argparse drops a failed write, so it writes to a buffer
-                    with contextlib.redirect_stdout(io.StringIO()) as text:
-                        args = _build_parser().parse_args(_joined(argv))
+                try:
+                    args = _build_parser().parse_args(_joined(argv))
                 except SystemExit as exc:  # argparse has written help or a usage error
                     args, code = None, int(exc.code or 0)
-                sys.stdout.write(text.getvalue())  # a vanished reader raises here
             if args is not None:
                 sys.stdout.writelines(args.func(args))
         sys.stdout.flush()  # a failed write is reported below, not at exit

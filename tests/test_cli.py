@@ -28,6 +28,7 @@ from qshape.qcore import q_binomial_box
 from qshape.quasi import demo_quasipolynomial
 from qshape.shape import PiecewisePolynomial, limit_shape
 from qshape.svgplot import _fmt, render_svg
+from test_qcore import hammer
 
 
 def run(capsys, *argv):
@@ -690,7 +691,7 @@ class TestPlot:
         ]
         assert polyline(out_file.read_text()) == polyline_oracle(poly.coeffs, 800, 300, points)
 
-    @settings(max_examples=50, deadline=None, database=None)
+    @settings(max_examples=50)
     @given(
         st.lists(st.integers(0, 10 ** 30), min_size=1, max_size=5).filter(any),
         st.lists(st.integers(0, 10 ** 30), min_size=1, max_size=5),
@@ -769,7 +770,7 @@ class TestPlot:
         heights = [f.evaluate(m) for m in range(41)]
         assert svg_bars(out_file.read_text()) == bar_oracle(heights, 501, 300)
 
-    @settings(max_examples=50, deadline=None, database=None)
+    @settings(max_examples=50)
     @given(
         st.lists(st.integers(0, 10 ** 30), min_size=1, max_size=20).filter(any),
         st.integers(1, 2000),
@@ -833,6 +834,9 @@ LARGE_OUTPUT = {
         "e5ac81c21da98850141e76020fc7486417e1684f66794d44bc792d2b3248d985",
     "converge --k 160 --n-list 1,2,3,4,5,6,7,8":
         "f22e0a46078067165ca4311944a11ca979e2e71704f4d3f06060c53c2c4c68cc",
+    # 1.6 M lines, 50 MB
+    "qbinom --n 200000 --k 8":
+        "6e84e0281e3a875e73acb65c767c173373534e359dc68065718298b9e0eb1ad0",
 }
 
 
@@ -1401,7 +1405,7 @@ class TestDigitLimit:
             sys.set_int_max_str_digits(start)
         assert codes == {"A": 0, "B": 0} and out["A"] == out["B"] != ""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(LONG_INTEGERS, LONG_INTEGERS, st.integers(1, 10**30), st.booleans())
     def test_ratio_matches_fraction_at_any_length(self, x, y, common, negative):
         a, b = (-x if negative else x) * common, (y + 1) * common
@@ -1511,7 +1515,7 @@ class TestRejectedValueMessage:
         err = self.usage_error(["regions", "--n", token, "--k", "3"], monkeypatch, capsys)
         assert err.endswith("argument --n: must be >= 0, got -1\n")
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(below_the_bound())
     def test_value_below_the_bound_is_stated_by_brief(self, case):
         option, low, token = case
@@ -1523,7 +1527,7 @@ class TestRejectedValueMessage:
         assert err.getvalue().endswith(f"argument {option}: must be >= {low}, "
                                        f"got {_brief(int(token))}\n")
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
            st.text(st.characters(exclude_categories=("Cs",), exclude_characters=","),
                    min_size=1, max_size=15).filter(rejected_by_int))
@@ -1536,6 +1540,13 @@ class TestRejectedValueMessage:
         assert out.getvalue() == ""
         assert err.getvalue().endswith(f"argument --n-list: bad n list entry: "
                                        f"invalid literal for int() with base 10: {token!r}\n")
+
+
+class FailingStream(io.StringIO):
+    """A text stream whose every write fails with an i/o error."""
+
+    def write(self, text):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
 
 
 class TestParser:
@@ -1577,7 +1588,7 @@ class TestParser:
                 assert err == "" and hashlib.sha256(svg).hexdigest() == pinned
                 (tmp_path / value).unlink()
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.sampled_from(["regions --n {} --k 3", "regions --k {} --n 30",
                             "qbinom --format {} --n 3 --k 2", "converge --n-list {} --k 2",
                             "converge --n {} --k 2", "shape --samples {} --k 2"]),
@@ -1598,14 +1609,56 @@ class TestParser:
         assert main(["--version"]) == 0
         assert capsys.readouterr() == (f"qshape {qshape.__version__}\n", "")
 
-    @settings(max_examples=400, deadline=None)
+    def test_threads_write_help_to_the_callers_stdout(self, monkeypatch):
+        # argparse writes help to sys.stdout, which main leaves in place: each
+        # help text reaches the stream the caller installed once per call
+        monkeypatch.setenv("COLUMNS", "80")
+        argvs = [("--help",), ("qbinom", "--help"), ("plot", "--help"), ("frobnicate",)]
+        serial = {}
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                serial[argv] = main(argv), out.getvalue(), err.getvalue()
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        calls = [(main, (argv,)) for argv in argvs] * 10
+        slots = hammer(calls)
+        assert sys.stdout is out and sys.stderr is err
+        for slot in slots:
+            assert len(slot) == len(calls)
+            for (_, (argv,)), code in slot:
+                assert code == serial[argv][0]
+        repeats = len(slots) * len(calls) // len(argvs)
+        assert len(out.getvalue()) == repeats * sum(len(text) for _, text, _ in serial.values())
+        for argv, (_, text, _) in serial.items():
+            assert text == "" or out.getvalue().count(text) == repeats
+        # argparse writes a usage error in two lines, which threads may interleave
+        assert sorted(err.getvalue().splitlines()) == sorted(
+            repeats * [line for _, _, text in serial.values() for line in text.splitlines()])
+
+    # as a library call, a failed write of help or --version is reported like
+    # any other: argparse's own writer would drop it and exit 0
+    @pytest.mark.parametrize("argv", [["--help"], ["plot", "--help"], ["--vers"]])
+    def test_failed_write_of_help_exits_one(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", FailingStream())
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"qshape: i/o error: \[Errno {errno.EIO}\] [^\n]*\n", err), err
+
+    def test_failed_write_of_a_usage_error_keeps_its_status(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stderr", FailingStream())
+        assert main(["frobnicate"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @settings(max_examples=400)
     @given(drawn_requests())
     def test_direct_parse_agrees_with_argparse(self, argv):
         direct = _parse(argv)
         if direct is not None:
             assert vars(direct) == argparse_namespace(argv)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(canonical_requests())
     def test_canonical_requests_parse_directly(self, argv):
         direct = _parse(argv)

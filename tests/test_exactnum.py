@@ -92,7 +92,7 @@ class TestExactDiv:
         with pytest.raises(ZeroDivisionError):
             P(1).exact_div(P())
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=100)
     @given(polys, polys.filter(bool))
     def test_mul_then_div_roundtrip(self, a, b):
         assert mul(a, b).exact_div(b) == a
@@ -101,7 +101,7 @@ class TestExactDiv:
 class TestRingAxioms:
     """The laws the oracle tests rely on, over int and Fraction coefficients."""
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=100)
     @given(polys, polys, polys)
     def test_axioms_on_random_sample(self, a, b, c):
         assert add(a, b) == add(b, a)
@@ -110,18 +110,18 @@ class TestRingAxioms:
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
         assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=100)
     @given(polys)
     def test_self_difference_and_cube(self, p):
         assert sub(p, p).is_zero()
         assert p**3 == mul(mul(p, p), p)
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=100)
     @given(polys, scalars, scalars)
     def test_taylor_shifts_compose(self, p, a, b):
         assert p.taylor_shift(a).taylor_shift(b) == p.taylor_shift(a + b)
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=100)
     @given(polys, polys, scalars)
     def test_evaluation_is_multiplicative(self, p, q, x):
         assert mul(p, q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
@@ -130,19 +130,19 @@ class TestRingAxioms:
 class TestRowKernels:
     """The integer-row helpers against Fraction arithmetic."""
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(st.integers(-(10**6), 10**6), st.integers(1, 10**4))
     def test_ratio_is_reduced_fraction(self, a, b):
         assert _ratio(a, b) == str(Fraction(a, b))
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=6),
            st.integers(-50, 50), st.integers(1, 50))
     def test_horner_is_scaled_evaluation(self, row, a, b):
         expected = b ** (len(row) - 1) * value(Polynomial(row), Fraction(a, b))
         assert _horner(row, a, b) == expected
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=100)
     @given(st.lists(polys, min_size=1, max_size=4))
     @example([P()])
     def test_polys_inverts_integer_rows(self, ps):
@@ -150,7 +150,7 @@ class TestRowKernels:
 
 
 class TestEvaluateAndCalculus:
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(polys, scalars)
     def test_evaluate_is_the_term_sum(self, p, x):
         assert p.evaluate(x) == value(p, x)
@@ -231,7 +231,7 @@ class TestToString:
         assert P(0, 1).to_string("x") == "x"
         assert P().to_string() == "0"
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(
         st.lists(
             st.one_of(

@@ -140,7 +140,7 @@ class TestKsDistance:
             shape = limit_shape(k)
             assert abs(ks_distance(em, shape) - ks_grid_scan(em, shape)) < 1e-9
 
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(
         st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=61).filter(any),
         st.integers(1, 8),
@@ -150,7 +150,7 @@ class TestKsDistance:
         shape = limit_shape(k)
         assert ks_distance(em, shape) == ks_atom_oracle(em, shape)
 
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(
         st.lists(st.integers(0, 1000), max_size=40),
         st.integers(1, 1000),
@@ -198,7 +198,7 @@ class TestConvergenceTable:
         for a, b in zip(values, values[1:]):
             assert 1.95 <= a / b <= 2.05
 
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(
         st.integers(1, 8),
         st.sets(st.integers(0, 300), min_size=1, max_size=6).map(sorted),

@@ -191,13 +191,13 @@ class TestBoxSeries:
     """_box_series(n, k, count), the truncated product formula behind both the
     box polynomial and the base series of partitions into parts <= k."""
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(box_series_args())
     def test_matches_partition_dp(self, args):
         n, k, count = args
         assert _box_series(n, k, count) == padded_box(n, k, count)
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(st.integers(0, 12), st.integers(1, 60), st.integers(0, 3))
     def test_numerator_past_truncation_leaves_partition_series(self, k, count, extra):
         assert _box_series(count - 1 + extra, k, count) == parts_at_most(k, count)
@@ -406,7 +406,7 @@ class TestCoefficientReport:
                 report = coefficient_report(q_binomial_box(n, k))
                 assert report.symmetric and report.unimodal
 
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=10).filter(lambda cs: cs[-1]))
     def test_matches_definition(self, cs):
         # unimodal iff some p has cs[:p+1] non-decreasing and cs[p:] non-increasing

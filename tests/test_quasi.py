@@ -98,7 +98,7 @@ class TestFit:
         with pytest.raises(ValidationFailure, match=r"residue 1 fit fails at m=9:"):
             fit_quasipolynomial(values, 0, 2, 2)
 
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300)
     @given(st.data())
     def test_matches_per_residue_oracle(self, data):
         period = data.draw(st.integers(1, 8), label="period")
@@ -451,7 +451,7 @@ class TestRegionDecomposition:
         for region in region_decomposition(n, k).regions:
             assert region.valid_from == scan_valid_from(region.formula, true, region.right)
 
-    @settings(max_examples=10, deadline=None, database=None)
+    @settings(max_examples=10)
     @given(st.data())
     def test_valid_from_matches_scan_property(self, data):
         k = data.draw(st.integers(1, 6), label="k")
@@ -586,7 +586,7 @@ class TestRegionDecomposition:
             assert region.formula == fit
             assert (region.formula.cols, region.formula.den) == (fit.cols, fit.den)
 
-    @settings(max_examples=15, deadline=None, database=None)
+    @settings(max_examples=15)
     @given(st.data())
     def test_formulas_match_series_fit_property(self, data):
         k = data.draw(st.integers(1, 7), label="k")
@@ -600,7 +600,7 @@ class TestRegionDecomposition:
             expected = shift_and_add_formulas(n, k)
             assert [region.formula.polys for region in regions] == expected
 
-    @settings(max_examples=10, deadline=None, database=None)
+    @settings(max_examples=10)
     @given(st.data())
     def test_formulas_match_coefficients_property(self, data):
         k = data.draw(st.integers(1, 5), label="k")
@@ -626,7 +626,7 @@ class TestRegionDecomposition:
                 }
                 assert len(tops) == 1
 
-    @settings(max_examples=15, deadline=None, database=None)
+    @settings(max_examples=15)
     @given(st.data())
     def test_formulas_reflect_property(self, data):
         k = data.draw(st.integers(1, 7), label="k")
@@ -647,7 +647,7 @@ class TestQuasipolynomialType:
         for m in range(7, 40):
             assert shifted.evaluate(m) == q.evaluate(m - 7)
 
-    @settings(max_examples=50, deadline=None, database=None)
+    @settings(max_examples=50)
     @given(st.lists(st.integers(-2, 2), min_size=1, max_size=12), st.integers(1, 4))
     def test_least_period(self, col, repeats):
         least = quasi._least_period(col * repeats)

@@ -194,7 +194,7 @@ class TestEvaluate:
 
 
 class TestCdf:
-    @settings(max_examples=30, deadline=None, database=None)
+    @settings(max_examples=30)
     @given(st.integers(1, 64))
     def test_closed_form_is_the_integrated_density(self, k):
         shape = limit_shape(k)
@@ -229,7 +229,7 @@ class TestIntegerKernel:
 
     rationals = st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9)
 
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(st.integers(1, 10), st.lists(rationals, min_size=1, max_size=5))
     def test_limit_shape_matches_fraction_oracles(self, k, xs):
         shape = limit_shape(k)
@@ -237,7 +237,7 @@ class TestIntegerKernel:
             assert shape.evaluate(x) == evaluate_oracle(shape, x)
             assert shape.cdf(x) == cdf_oracle(shape, x)
 
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_random_pieces_match_fraction_oracles(self, data):
         # pieces of unequal degrees, zero pieces, integer or rational coefficients
@@ -248,7 +248,7 @@ class TestIntegerKernel:
             assert shape.evaluate(x) == evaluate_oracle(shape, x)
             assert cdf.evaluate(x) == cdf_oracle(shape, x)
 
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_cdf_grid_matches_cdf(self, data):
         # the KS sweep's pre-scaled grid against the CDF at every j/d,
@@ -261,7 +261,7 @@ class TestIntegerKernel:
         assert den == row_den * max(d, 1) ** (len(rows[0]) - 1)
         assert list(values) == [cdf.evaluate(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
 
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_density_grid_matches_evaluate(self, data):
         # the sample grid of shape --samples and plot --overlay against
@@ -279,7 +279,7 @@ class TestIntegerKernel:
         assert den == row_den * max(d, 1) ** (len(rows[0]) - 1)
         assert list(values) == [shape.evaluate(Fraction(j, max(d, 1))) * den for j in range(d + 1)]
 
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_tables_match_fraction_construction(self, data):
         # the integer tables equal _integer_rows of the Fraction pieces and of
@@ -289,7 +289,7 @@ class TestIntegerKernel:
         assert shape._density == _integer_rows(shape.pieces)
         assert cdf._density == _integer_rows(cdf_pieces_oracle(shape))
 
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_cdf_is_the_piecewise_polynomial_of_its_pieces(self, data):
         # the CDF table is the record _canonical builds from the Fraction CDF

@@ -156,7 +156,7 @@ def canonical(kind, size, cols, den):
 
 
 @pytest.mark.parametrize("kind", ["Quasipolynomial", "PiecewisePolynomial"])
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(data=st.data())
 def test_canonical_form_drops_zero_columns_and_common_factors(kind, data):
     # exactnum._lowest_terms is the one canonical form: the table scaled by g
