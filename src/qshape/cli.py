@@ -240,13 +240,16 @@ def _build_parser():
     import argparse
 
     class Parser(argparse.ArgumentParser):
-        # help and --version go to sys.stdout, where main reports a failed
-        # write; argparse's own writer drops one.  stderr keeps argparse's
+        # a failed write of help or --version to sys.stdout reaches main,
+        # which reports it and exits 1; one of a usage error to stderr is
+        # dropped, so the error keeps its status 2 on every Python version
         def _print_message(self, message, file=None):
-            if file is sys.stdout:
+            file = file or sys.stderr
+            try:
                 file.write(message)
-            else:
-                super()._print_message(message, file)
+            except (AttributeError, OSError):
+                if file is sys.stdout:
+                    raise
 
     parser = Parser(
         prog="qshape",
