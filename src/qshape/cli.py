@@ -7,7 +7,10 @@ included, are byte-identical for identical inputs.  Each cmd_* yields the
 lines of its output (plot writes its SVG to --out and yields none); main
 writes them, and argparse writes help and --version text, to the same
 sys.stdout; main reports a failed write of either and maps errors to exit
-statuses.
+statuses.  Every message for stderr, argparse's usage errors included, goes
+through _report, which drops a write that fails or has no stderr to go to:
+the state of stderr never changes a status and never puts a message on
+stdout.
 """
 from __future__ import annotations
 
@@ -22,6 +25,16 @@ from .errors import InvalidArguments
 
 # Each command imports the engine modules it uses, so a process loads only
 # what its command needs (start-up dominates small requests).
+
+
+def _report(text: str) -> None:
+    """Write text to sys.stderr, when there is one: the one writer of messages.
+    A failed write is dropped, so it never changes the exit status."""
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(text)
+    except (OSError, ValueError):  # ValueError: a closed stream
+        pass
 
 
 def _invalid(message: str) -> Exception:
@@ -240,16 +253,17 @@ def _build_parser():
     import argparse
 
     class Parser(argparse.ArgumentParser):
-        # a failed write of help or --version to sys.stdout reaches main,
-        # which reports it and exits 1; one of a usage error to stderr is
-        # dropped, so the error keeps its status 2 on every Python version
+        # help and --version text: a failed write reaches main, which
+        # reports it and exits 1
         def _print_message(self, message, file=None):
-            file = file or sys.stderr
-            try:
-                file.write(message)
-            except (AttributeError, OSError):
-                if file is sys.stdout:
-                    raise
+            sys.stdout.write(message)
+
+        # argparse's bytes, but through _report: without a stderr, argparse
+        # would print the usage line to stdout
+        def error(self, message):
+            _report(self.format_usage())
+            _report(f"{self.prog}: error: {message}\n")
+            self.exit(2)
 
     parser = Parser(
         prog="qshape",
@@ -334,12 +348,16 @@ def _parse(argv: list[str]):
 
 
 def main(argv=None) -> int:
-    """Run one request and return its exit status.  With no argv, main runs
-    as the program (`python -m qshape.cli`, the `qshape` script) on sys.argv,
-    through a stdout stream of its own, and freezes the collector once the
-    output is flushed: the process exits next, and interpreter shutdown then
-    skips the collection passes over objects that the OS frees anyway.
-    main(argv) writes to its caller's sys.stdout and never freezes."""
+    """Run one request and return its exit status; every message goes
+    through _report, so the state of stderr changes neither.  With no argv,
+    main runs as the program (`python -m qshape.cli`, the `qshape` script) on
+    sys.argv, through a stdout stream of its own.  Before it returns, it
+    flushes stdout and stderr and points a stream that still fails at
+    devnull, so the interpreter's flush at exit cannot fail again and turn
+    the status into 120.  It then freezes the collector: the process exits
+    next, and interpreter shutdown skips the collection passes over objects
+    that the OS frees anyway.  main(argv) writes to its caller's sys.stdout
+    and sys.stderr and never freezes."""
     program = argv is None
     argv = sys.argv[1:] if program else list(argv)
     try:
@@ -366,19 +384,23 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a failed write is reported below, not at exit
         return code
     except InvalidArguments as exc:
-        print(f"qshape: error: {exc}", file=sys.stderr)
+        _report(f"qshape: error: {exc}\n")
         return 2
     except OSError as exc:
         if not isinstance(exc, BrokenPipeError):  # else the reader has gone, as with `| head`
-            print(f"qshape: i/o error: {exc}", file=sys.stderr)
-        if program and exc.filename is None:  # stdout, not plot's --out, failed: send
-            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)  # its buffer to devnull at exit
+            _report(f"qshape: i/o error: {exc}\n")
         return 1
     except Exception as exc:  # pragma: no cover - internal-consistency failures
-        print(f"qshape: internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        _report(f"qshape: internal error: {str(exc) or type(exc).__name__}\n")
         return 1
     finally:
         if program:
+            for fd, stream in ((1, sys.stdout), (2, sys.stderr)):
+                try:
+                    if stream is not None:
+                        stream.flush()
+                except (OSError, ValueError):
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
             gc.freeze()
 
 

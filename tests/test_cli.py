@@ -840,6 +840,9 @@ LARGE_OUTPUT = {
 }
 
 
+NO_FULL_DEVICE = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
 def buffering_params(argvs):
     """(argv, unbuffered) for each argv in both stdout modes, with ids
     argvI and argvI-unbuffered."""
@@ -922,7 +925,7 @@ class TestClosedPipe:
             assert proc.returncode == 1
             assert re.fullmatch(rb"qshape: i/o error: [^\n]*\n", err), err
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @NO_FULL_DEVICE
     @pytest.mark.parametrize("argv, unbuffered", buffering_params(
         [["qbinom", "--n", "2", "--k", "2"], ["--version"], ["--help"]]))
     def test_full_device(self, argv, unbuffered):
@@ -975,6 +978,53 @@ class TestClosedPipe:
             os.close(slave)
             os.close(master)
         assert done.stderr.splitlines() == ["3,0.177777777778", "4,0.141666666667", "0 True"]
+
+
+# stderr on /dev/full, where every write fails with ENOSPC, or file
+# descriptor 2 closed before the interpreter starts, which leaves sys.stderr None
+STDERR_STATES = [pytest.param("full", marks=NO_FULL_DEVICE), "closed"]
+
+
+def run_with_stderr(argv, unbuffered, state, cwd, stdout=subprocess.PIPE):
+    """The program run on argv in `cwd` with stderr in `state`."""
+    with open("/dev/full" if state == "full" else os.devnull, "wb") as sink:
+        return subprocess.run([sys.executable, "-m", "qshape.cli", *argv],
+                              env=cli_env(unbuffered), stdout=stdout, stderr=sink, cwd=cwd,
+                              preexec_fn=(lambda: os.close(2)) if state == "closed" else None,
+                              timeout=60)
+
+
+# (status, stdout): a domain error from the engine, a usage error from
+# argparse (a command, a value), a domain error from cmd_plot, a success
+STDERR_REQUESTS = {
+    "regions --n 5 --k 4": (2, b""),
+    "frobnicate": (2, b""),
+    "qbinom --n -1 --k 2": (2, b""),
+    "plot --demo --n 3 --out x.svg": (2, b""),
+    "qbinom --n 2 --k 2": (0, b"1\n1\n2\n1\n1\n"),
+}
+
+
+class TestStderrState:
+    """Run as a program, a message that stderr cannot take is dropped: the
+    status is the request's own and stdout holds only its output."""
+
+    @pytest.mark.parametrize("state", STDERR_STATES)
+    @pytest.mark.parametrize("argv, unbuffered", buffering_params(
+        [text.split() for text in STDERR_REQUESTS]))
+    def test_status_and_stdout(self, argv, unbuffered, state, tmp_path):
+        done = run_with_stderr(argv, unbuffered, state, tmp_path)
+        assert (done.returncode, done.stdout) == STDERR_REQUESTS[" ".join(argv)]
+        assert not any(tmp_path.iterdir())
+
+    @NO_FULL_DEVICE
+    @pytest.mark.parametrize("state", STDERR_STATES)
+    @pytest.mark.parametrize("argv, unbuffered", buffering_params(
+        [["qbinom", "--n", "2", "--k", "2"]]))
+    def test_full_stdout(self, argv, unbuffered, state, tmp_path):
+        with open("/dev/full", "wb") as full:
+            done = run_with_stderr(argv, unbuffered, state, tmp_path, stdout=full)
+        assert done.returncode == 1
 
 
 def run_probe(probe, closed):
@@ -1058,14 +1108,19 @@ class TestProgramExit:
         assert done.stdout.startswith(f"qshape {qshape.__version__}\n")
         assert "function calls" in done.stdout and "Ordered by:" in done.stdout
 
-    def test_profiler_report_survives_a_failed_out_file(self, tmp_path):
-        # an i/o error that names a file is plot's --out, not stdout, which
-        # stays open for whatever the process writes after main
-        out = tmp_path / "missing" / "p.svg"
+    # a failed --out, whether opening it fails or (on /dev/full) writing it,
+    # leaves stdout open for whatever the process writes after main
+    @pytest.mark.parametrize("out, error", [
+        pytest.param("missing/p.svg", errno.ENOENT, id="missing-directory"),
+        pytest.param("/dev/full", errno.ENOSPC, id="full-device", marks=NO_FULL_DEVICE),
+    ])
+    def test_profiler_report_survives_a_failed_out_file(self, out, error, tmp_path):
         done = subprocess.run([sys.executable, "-m", "cProfile", "-m", "qshape.cli", "plot",
-                               "--demo", "--out", str(out)],
-                              env=cli_env(), capture_output=True, text=True, timeout=60)
-        assert done.stderr.startswith(f"qshape: i/o error: [Errno {errno.ENOENT}] ")
+                               "--demo", "--out", out],
+                              env=cli_env(), capture_output=True, text=True, cwd=tmp_path,
+                              timeout=60)
+        assert re.fullmatch(rf"qshape: i/o error: \[Errno {error}\] [^\n]*\n", done.stderr), \
+            done.stderr
         assert "function calls" in done.stdout and "Ordered by:" in done.stdout
 
 
@@ -1646,10 +1701,33 @@ class TestParser:
         err = capsys.readouterr().err
         assert re.fullmatch(rf"qshape: i/o error: \[Errno {errno.EIO}\] [^\n]*\n", err), err
 
-    def test_failed_write_of_a_usage_error_keeps_its_status(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stderr", FailingStream())
-        assert main(["frobnicate"]) == 2
-        assert capsys.readouterr().out == ""
+    # a failed or impossible write of any error message keeps its status: a
+    # usage error from argparse, a domain error from the engine and from
+    # cmd_plot, an internal error (a product kernel that raises) and a failed
+    # write of help to a failing stdout, with a stderr that fails or is None
+    @pytest.mark.parametrize("stderr", [FailingStream, None], ids=["failing", "none"])
+    @pytest.mark.parametrize("argv, status", [
+        pytest.param(["frobnicate"], 2, id="usage-error"),
+        pytest.param(["regions", "--n", "5", "--k", "4"], 2, id="domain-error"),
+        pytest.param(["plot", "--demo", "--n", "3", "--out", "x.svg"], 2, id="plot-error"),
+        pytest.param(["qbinom", "--n", "2", "--k", "2"], 1, id="internal-error"),
+        pytest.param(["--help"], 1, id="failed-help"),
+    ])
+    def test_failed_write_of_a_usage_error_keeps_its_status(self, argv, status, stderr,
+                                                            monkeypatch, tmp_path):
+        import qshape.qcore
+
+        def boom(n, k):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(qshape.qcore, "q_binomial_box", boom)
+        monkeypatch.chdir(tmp_path)
+        out = FailingStream() if argv == ["--help"] else io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", stderr and stderr())
+        assert main(argv) == status
+        assert out.getvalue() == ""
+        assert not any(tmp_path.iterdir())
 
     @settings(max_examples=400)
     @given(drawn_requests())
