@@ -1,9 +1,13 @@
-"""Constructions that only the tests use: no production path calls them, so
-they live here as plain functions over the package's types rather than in
-its public API."""
+"""Helpers that only the tests use: constructions that no production path
+calls, as plain functions over the package's types rather than in its
+public API, and the one way the tests start a new interpreter."""
 import math
+import os
+import subprocess
+import sys
 from itertools import accumulate, zip_longest
 
+import qshape
 from qshape.errors import InvalidArguments
 from qshape.exactnum import Polynomial, _mul
 from qshape.quasi import fit_quasipolynomial, numerator_expansion
@@ -95,3 +99,21 @@ def series_fit_formulas(n, k):
                 series[c::i] = accumulate(series[c::i])
         formulas.append(fit_quasipolynomial(series[left:], left, period, k - 1))
     return formulas
+
+
+def cli_env(unbuffered=False):
+    """The caller's environment with this package on the path and stdout
+    buffered (the default) or, with `unbuffered`, PYTHONUNBUFFERED=1."""
+    src = os.path.dirname(os.path.dirname(qshape.__file__))
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(*args, unbuffered=False, timeout=60, **kwargs):
+    """subprocess.run of a new interpreter on `args`, in cli_env(unbuffered)."""
+    return subprocess.run([sys.executable, *args], env=cli_env(unbuffered), timeout=timeout,
+                          **kwargs)

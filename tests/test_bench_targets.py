@@ -4,10 +4,9 @@ break although no package test fails.  One traced request also runs end to
 end, which checks the spans a regions request records."""
 import importlib.util
 import json
-import os
 import pathlib
-import subprocess
-import sys
+
+from oracles import run_python
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACED_CLI = ROOT / "bench" / "traced_cli.py"
@@ -32,11 +31,8 @@ def test_traced_regions_request_fits_only_the_base(tmp_path):
     # region formulas come from the base quasipolynomial by shift-and-add:
     # one fit per request, however many regions there are
     spans_file = tmp_path / "spans.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(TRACED_CLI), str(spans_file), "regions", "--n", "24", "--k", "4"],
-        env=env, capture_output=True, timeout=60)
+    proc = run_python(str(TRACED_CLI), str(spans_file), "regions", "--n", "24", "--k", "4",
+                      capture_output=True)
     assert proc.returncode == 0, proc.stderr
     names = [span[0] for span in json.loads(spans_file.read_text())["spans"]]
     assert "quasi.region_decomposition" in names

@@ -1,6 +1,4 @@
 import math
-import os
-import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -10,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qshape
 from qshape.errors import InvalidArguments, NegativeCoefficient, ZeroPolynomial
 from qshape.exactnum import Polynomial
 from qshape.measure import convergence_table
@@ -26,7 +23,7 @@ from qshape.qcore import (
 from qshape.quasi import initial_quasipolynomial, numerator_expansion, reciprocal_series
 from qshape.shape import limit_shape
 
-from oracles import mul, parts_at_most_k_denominator, q_integer
+from oracles import mul, parts_at_most_k_denominator, q_integer, run_python
 
 
 def quotient_oracle(n, k):
@@ -93,14 +90,12 @@ class TestQFactorial:
         # the product is built in a loop, not once per factor through the
         # cache: under a recursion limit of 100, [200]!_q still has degree
         # n(n-1)/2 and coefficient sum n!
-        src = os.path.dirname(os.path.dirname(qshape.__file__))
         code = ("import math, sys\n"
                 "from qshape.qcore import q_factorial\n"
                 "sys.setrecursionlimit(100)\n"
                 "n, p = 200, q_factorial(200)\n"
                 "assert p.degree == n * (n - 1) // 2 and sum(p.coeffs) == math.factorial(n)\n")
-        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                       check=True, timeout=60)
+        run_python("-c", code, check=True)
 
 
 class TestQBinomial:
