@@ -23,14 +23,14 @@ from qshape.quasi import (
     Quasipolynomial,
     coefficient_via_recursion,
     initial_quasipolynomial,
+    min_region_n,
     numerator_expansion,
     region_decomposition,
 )
 from qshape.shape import cube_slice_volume, limit_shape
 from qshape.cli import main as cli_main
 
-from oracles import derivative, mul, scale_arg
-from test_measure import ks_grid_scan
+from oracles import count_subspaces_gf2, derivative, ks_grid_scan, mul, scale_arg
 
 
 @contextlib.contextmanager
@@ -94,9 +94,10 @@ def test_criterion_04_numerator_expansion():
 
 
 def test_criterion_05_recursion_exactness():
-    with criterion(5, "coefficient_via_recursion exact for k<=6, 2k*lcm(1..k) <= n <= 60"):
+    with criterion(5, "coefficient_via_recursion exact for k<=6, (k-1)(k+2)/2 <= n <= 60"):
         for k in range(1, 7):
-            low = 2 * k * math.lcm(*range(1, k + 1))
+            low = min_region_n(k)
+            assert low <= 60, k  # every k checks at least one n
             for n in range(low, 61):
                 truth = q_binomial_box(n, k)
                 for m in range(n * k + 1):
@@ -106,7 +107,7 @@ def test_criterion_05_recursion_exactness():
 def test_criterion_06_transition_zone_identity():
     with criterion(6, "for k=4, n>=24: [q^(n+2)] = F(n+2) - F(1) - F(0)"):
         base = initial_quasipolynomial(4)
-        for n in (24, 25, 30, 36, 50, 61):
+        for n in (24, 25, 30, 36, 41, 50, 61):
             expected = base.evaluate(n + 2) - base.evaluate(1) - base.evaluate(0)
             assert q_binomial_box(n, 4).coefficient(n + 2) == expected
             assert coefficient_via_recursion(n, 4, n + 2) == expected
@@ -115,12 +116,13 @@ def test_criterion_06_transition_zone_identity():
 def test_criterion_07_structural_claims():
     with criterion(7, "region formulas: period | lcm(1..k), degree k-1, constant top "
                       "coefficients; zone width independent of n"):
-        cases = {1: (2, 9), 2: (4, 11), 3: (12, 19), 4: (24, 31), 5: (120, 127), 6: (120, 127)}
-        for k, n_pair in cases.items():
+        cases = {1: (2, 9), 2: (4, 11, 16), 3: (12, 19, 40, 60), 4: (24, 31, 50, 64),
+                 5: (120, 127), 6: (120, 127)}
+        for k, ns in cases.items():
             lcm = math.lcm(*range(1, k + 1))
             cut = k // 2 - 1
             widths = []
-            for n in n_pair:
+            for n in ns:
                 decomp = region_decomposition(n, k)
                 for region in decomp.regions:
                     formula = region.formula
@@ -132,7 +134,7 @@ def test_criterion_07_structural_claims():
                     }
                     assert len(tops) == 1
                 widths.append(sum(b - a + 1 for a, b in decomp.transition_zones))
-            assert widths[0] == widths[1]
+            assert len(set(widths)) == 1
 
 
 def test_criterion_08_limit_shape_properties():
@@ -199,8 +201,6 @@ def test_criterion_10_geometry_cross_check():
 
 def test_criterion_11_finite_field_counts():
     with criterion(11, "q=2 evaluations equal brute-force subspace counts over F_2"):
-        from test_qcore import count_subspaces_gf2
-
         assert q_binomial(4, 2).evaluate(2) == 35
         assert q_binomial(5, 2).evaluate(2) == 155
         assert count_subspaces_gf2(4, 2) == 35
@@ -210,12 +210,11 @@ def test_criterion_11_finite_field_counts():
 def test_criterion_12_figure_reproduction(tmp_path):
     with criterion(12, "plots byte-identical across runs; (50,4) shows 4 colored bands "
                        "split by black zones"):
-        for n, k in ((5, 3), (20, 3), (50, 3)):
-            first = tmp_path / f"{n}_{k}_a.svg"
-            second = tmp_path / f"{n}_{k}_b.svg"
+        requests = ("--n 5 --k 3", "--n 20 --k 3", "--n 20 --k 3 --overlay", "--n 50 --k 3")
+        for i, flags in enumerate(requests):
+            first, second = tmp_path / f"{i}_a.svg", tmp_path / f"{i}_b.svg"
             for target in (first, second):
-                assert cli_main(["plot", "--n", str(n), "--k", str(k),
-                                 "--out", str(target)]) == 0
+                assert cli_main(["plot", *flags.split(), "--out", str(target)]) == 0
             assert first.read_bytes() == second.read_bytes()
         first = tmp_path / "50_4_a.svg"
         second = tmp_path / "50_4_b.svg"

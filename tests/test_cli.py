@@ -28,8 +28,7 @@ from qshape.qcore import q_binomial_box
 from qshape.quasi import demo_quasipolynomial
 from qshape.shape import PiecewisePolynomial, limit_shape
 from qshape.svgplot import _fmt, render_svg
-from oracles import cli_env, run_python
-from test_qcore import hammer
+from oracles import cli_env, hammer, run_python
 
 
 def run(capsys, *argv):
@@ -94,12 +93,6 @@ class TestQbinom:
         total = sum(int(line.split(",")[1]) for line in lines[1:])
         assert total == math.comb(11, 4)
         assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(29))
-
-    def test_json(self, capsys):
-        code, out = run(capsys, "qbinom", "--n", "2", "--k", "2", "--format", "json")
-        doc = json.loads(out)
-        assert doc["degree"] == 4
-        assert doc["coefficients"] == [1, 1, 2, 1, 1]
 
     def test_large_n_json(self, capsys):
         code, out = run(capsys, "qbinom", "--n", "1200", "--k", "2", "--format", "json")
@@ -372,6 +365,8 @@ PINNED_OUTPUT = [
     (["qbinom", "--n", "0", "--k", "5"], "1\n"),
     (["qbinom", "--n", "2", "--k", "2", "--format", "csv"],
      "index,coefficient\n0,1\n1,1\n2,2\n3,1\n4,1\n"),
+    (["qbinom", "--n", "2", "--k", "2", "--format", "json"],
+     '{"n": 2, "k": 2, "degree": 4, "coefficients": [1, 1, 2, 1, 1]}\n'),
     (["shape", "--k", "1", "--samples", "3"], "x,value\n0,1\n1/2,1\n1,1\n"),
     (["shape", "--k", "3", "--samples", "4"], "x,value\n0,0\n1/3,3/2\n2/3,3/2\n1,0\n"),
     (["converge", "--k", "2", "--n-list", "3,4"], "n,ks\n3,0.177777777778\n4,0.141666666667\n"),
@@ -546,15 +541,6 @@ class TestPlot:
             'font-size="14">a &amp; b &lt;c&gt; "d"</text>'
         ) in render_svg((1,), 10, 10, 'a & b <c> "d"').splitlines()
 
-    def test_plain_bars(self, tmp_path, capsys):
-        out_file = tmp_path / "p.svg"
-        assert main(["plot", "--n", "2", "--k", "2", "--out", str(out_file)]) == 0
-        svg = out_file.read_text()
-        heights = bar_heights(svg)
-        assert len(heights) == 5
-        top = max(heights)
-        assert [h / top for h in heights] == [0.5, 0.5, 1.0, 0.5, 0.5]
-
     def test_max_bar_is_exact_height(self, tmp_path):
         out_file = tmp_path / "p.svg"
         main(["plot", "--n", "12", "--k", "3", "--height", "240", "--out", str(out_file)])
@@ -571,19 +557,6 @@ class TestPlot:
         out_file = tmp_path / "p.svg"
         assert main(["plot", *flags.split(), "--out", str(out_file)]) == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == PLOT_SVG[flags]
-
-    def test_byte_identical_reruns(self, tmp_path):
-        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-        for target in (a, b):
-            main(["plot", "--n", "20", "--k", "3", "--overlay", "--out", str(target)])
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_color_regions_bands(self, tmp_path):
-        out_file = tmp_path / "c.svg"
-        main(["plot", "--n", "50", "--k", "4", "--color-regions", "--out", str(out_file)])
-        svg = out_file.read_text()
-        assert len(bar_fills(svg)) == 201
-        assert fill_runs(svg) == ["red", "black", "yellow", "black", "green", "black", "blue"]
 
     def test_color_regions_below_two_periods(self, tmp_path):
         # n = 50 < 2 lcm(1..7) = 840: every region of k = 7 is nonempty from n = 27 on

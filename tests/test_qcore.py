@@ -1,8 +1,5 @@
 import math
-import sys
-import threading
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +20,7 @@ from qshape.qcore import (
 from qshape.quasi import initial_quasipolynomial, numerator_expansion, reciprocal_series
 from qshape.shape import limit_shape
 
-from oracles import mul, parts_at_most_k_denominator, q_integer, run_python
-
-
-def quotient_oracle(n, k):
-    """[n choose k]_q as the exact quotient [n]!_q / ([n-k]!_q [k]!_q)."""
-    return q_factorial(n).exact_div(mul(q_factorial(n - k), q_factorial(k)))
+from oracles import hammer, parts_at_most_k_denominator, q_integer, run_python
 
 
 def count_partitions_in_box(size, max_parts, max_part):
@@ -44,20 +36,6 @@ def count_partitions_in_box(size, max_parts, max_part):
             for p in range(1, min(remaining, cap) + 1)
         )
     return count(size, max_parts, max_part)
-
-
-def count_subspaces_gf2(dim, sub_dim):
-    """Brute-force oracle: distinct sub_dim-dimensional subspaces of F_2^dim,
-    enumerated as spans of linearly independent vector tuples."""
-    nonzero = range(1, 2 ** dim)
-    spans = set()
-    for vecs in combinations(nonzero, sub_dim):
-        span = {0}
-        for v in vecs:
-            span |= {v ^ w for w in span}
-        if len(span) == 2 ** sub_dim:
-            spans.add(frozenset(span))
-    return len(spans)
 
 
 class TestQInteger:
@@ -139,9 +117,6 @@ class TestPascal:
     def test_base_combination(self):
         assert q_binomial_pascal(2, 1) == Polynomial((1, 1))
 
-    def test_agrees_with_quotient_form(self):
-        assert q_binomial_pascal(4, 2) == quotient_oracle(4, 2)
-
 
 class TestPartitionDP:
     def test_empty_box(self):
@@ -206,41 +181,6 @@ class TestBoxSeries:
                 for i in range(1, k + 1):
                     for count in (n + i, n + i + 1):
                         assert _box_series(n, k, count) == full[:count], (n, k, i, count)
-
-
-class TestThreeWayAgreement:
-    def test_sampled_agreement(self):
-        # the product engine against all three oracles
-        for n in range(0, 13):
-            for k in range(0, 6):
-                a = q_binomial_box(n, k)
-                assert a == quotient_oracle(n + k, k)
-                assert a == q_binomial_pascal(n + k, k)
-                assert a == q_binomial_partition_dp(n, k)
-
-
-def hammer(calls, threads=8):
-    """Run every (fn, args) call from `threads` threads at once, each
-    starting at a different offset, with a tiny switch interval; returns
-    each thread's ((fn, args), result) pairs."""
-    results = [[] for _ in range(threads)]
-
-    def worker(slot):
-        for fn, args in calls[slot:] + calls[:slot]:
-            results[slot].append(((fn, args), fn(*args)))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pool = [threading.Thread(target=worker, args=(i,)) for i in range(threads)]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in pool)
-    return results
 
 
 class TestThreads:
@@ -357,10 +297,6 @@ class TestEvaluate:
         for n in range(0, 41):
             for k in range(0, n + 1):
                 assert q_binomial(n, k).evaluate(1) == math.comb(n, k)
-
-    def test_gf2_subspace_counts(self):
-        assert q_binomial(4, 2).evaluate(2) == count_subspaces_gf2(4, 2) == 35
-        assert q_binomial(5, 2).evaluate(2) == count_subspaces_gf2(5, 2) == 155
 
     def test_constant_term_at_zero(self):
         assert q_binomial(7, 3).evaluate(0) == 1

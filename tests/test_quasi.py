@@ -321,17 +321,6 @@ class TestNumeratorExpansion:
             SignedTerm(-1, 1, 1, 1),
         )
 
-    def test_k4_block2_terms(self):
-        block2 = [t for t in numerator_expansion(4) if t.block == 2]
-        assert [(t.sign, t.multiplicity, t.exponent_offset) for t in block2] == [
-            (1, 1, 3), (1, 1, 4), (1, 2, 5), (1, 1, 6), (1, 1, 7),
-        ]
-
-    def test_k4_block4(self):
-        assert [t for t in numerator_expansion(4) if t.block == 4] == [
-            SignedTerm(1, 1, 10, 4)
-        ]
-
     def test_terms_count_partitions(self):
         # each coefficient of [k choose j]_q counts a nonempty set of
         # partitions, so no term is zero; at q = 1 block j sums to C(k, j)
@@ -361,12 +350,6 @@ class TestCoefficientViaRecursion:
         for n in (10, 25):
             for m in range(n + 1):
                 assert coefficient_via_recursion(n, 3, m) == base.evaluate(m)
-
-    def test_transition_zone_formula_k4(self):
-        base = initial_quasipolynomial(4)
-        for n in (24, 30, 41):
-            expected = base.evaluate(n + 2) - base.evaluate(1) - base.evaluate(0)
-            assert coefficient_via_recursion(n, 4, n + 2) == expected
 
     def test_full_agreement_small(self):
         p = q_binomial_box(10, 3)
@@ -422,13 +405,6 @@ class TestRegionDecomposition:
             for region in decomp.regions:
                 for m in range(region.left, region.right + 1):
                     assert region.formula.evaluate(m) == true.coefficient(m)
-
-    def test_zone_width_independent_of_n(self):
-        def total(decomp):
-            return sum(b - a + 1 for a, b in decomp.transition_zones)
-
-        assert total(region_decomposition(40, 3)) == total(region_decomposition(60, 3))
-        assert total(region_decomposition(50, 4)) == total(region_decomposition(64, 4))
 
     def test_zone_lengths_mirror_around_center(self):
         decomp = region_decomposition(50, 4)
@@ -613,18 +589,6 @@ class TestRegionDecomposition:
             assert f.evaluate(region.valid_from) == true[region.valid_from]
             if region.valid_from > 0:
                 assert f.evaluate(region.valid_from - 1) != true[region.valid_from - 1]
-
-    def test_constant_top_coefficients_across_residues(self):
-        # coefficients of degree above floor(k/2) - 1 agree on all residues
-        for n, k in ((16, 2), (40, 3), (50, 4)):
-            decomp = region_decomposition(n, k)
-            cut = k // 2 - 1
-            for region in decomp.regions:
-                tops = {
-                    tuple(poly.coefficient(d) for d in range(cut + 1, k))
-                    for poly in region.formula.polys
-                }
-                assert len(tops) == 1
 
     @settings(max_examples=15)
     @given(st.data())
